@@ -108,6 +108,14 @@ def sample_brownian_path(grid, dim_control, seed, path_id=0):
     return BrownianPath(increments=dw, seed=seed, path_id=path_id)
 
 
+def sample_increments(grid, m, seed, paths):
+    """(paths, n_steps, m) increments, path p from its own (seed, p) stream."""
+    dw = np.empty((paths, grid.n_steps, m))
+    for p in range(paths):
+        dw[p] = sample_brownian_path(grid, m, seed, p).increments
+    return dw
+
+
 def init_volterra_state(table):
     n = table.n_steps
     return VolterraState(
@@ -328,10 +336,7 @@ def bridge_ensemble(table, x0s, xfs, epsilon, seed, threads=1):
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
     paths = x0s.shape[0]
-    n, m = table.n_steps, table.dim_control
-    dw = np.empty((paths, n, m))
-    for p in range(paths):
-        dw[p] = sample_brownian_path(table.grid, m, seed, p).increments
+    dw = sample_increments(table.grid, table.dim_control, seed, paths)
 
     def run(sl):
         return _bridge_chunk(table, x0s[sl], xfs[sl], dw[sl], epsilon)
@@ -370,28 +375,24 @@ def _run_chunks(fn, slices, threads):
         return list(pool.map(fn, slices))
 
 
-def export_trajectory_csv(path, grid, states, controls=None, path_ids=None):
-    """Write trajectories as CSV rows path_id, t, x1..xd, u1..um."""
-    states = np.asarray(states)
-    if states.ndim == 2:
-        states = states[None]
-    if controls is not None:
-        controls = np.asarray(controls)
-        if controls.ndim == 2:
-            controls = controls[None]
-    paths, n1, d = states.shape
-    if path_ids is None:
-        path_ids = range(paths)
+def export_trajectory_csv(path, grid, states=None, controls=None):
+    """Write trajectories as CSV rows path_id, t, x1..xd, u1..um.
+
+    Either block may be omitted; the columns of a missing block are left out.
+    """
+    cols, blocks = ["path_id", "t"], []
+    for prefix, arr in (("x", states), ("u", controls)):
+        if arr is not None:
+            arr = np.asarray(arr)
+            arr = arr[None] if arr.ndim == 2 else arr
+            cols += [f"{prefix}{i + 1}" for i in range(arr.shape[2])]
+            blocks.append(arr)
+    values = np.concatenate(blocks, axis=2)
     times = grid.times
     with open(path, "w") as fh:
-        cols = ["path_id", "t"] + [f"x{i + 1}" for i in range(d)]
-        if controls is not None:
-            cols += [f"u{i + 1}" for i in range(controls.shape[2])]
         fh.write(",".join(cols) + "\n")
-        for p, pid in enumerate(path_ids):
-            for j in range(n1):
-                row = [str(pid), f"{times[j]:.17g}"]
-                row += [f"{v:.17g}" for v in states[p, j]]
-                if controls is not None:
-                    row += [f"{v:.17g}" for v in controls[p, j]]
+        for p in range(values.shape[0]):
+            for j in range(values.shape[1]):
+                row = [str(p), f"{times[j]:.17g}"]
+                row += [f"{v:.17g}" for v in values[p, j]]
                 fh.write(",".join(row) + "\n")

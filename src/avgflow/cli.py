@@ -7,6 +7,16 @@ train if needed, roll out, measure), ``train`` stops after the training
 stage, ``simulate`` rolls out a configured controller, and ``metrics``
 compares saved ensembles.
 
+``flow``, ``train`` and ``simulate`` share one controller registry,
+``_CONTROLLERS``: each name maps to its regime (the deterministic or the
+stochastic rollout driver), the model kind it trains or loads, and a builder.
+All three commands draw their endpoint samples through one lazy pairing, so
+sampling, coupling and teacher bridges run only when a builder, trainer or
+rollout reads them.  ``--threads`` splits path chunks of the bridge
+ensembles, the deterministic rollout's convolution, and the stochastic
+rollout's final convolution; the sequential driver of the state-feedback
+controller (posterior-exact) stays single-threaded.
+
 Every run writes into a stamped directory: the stamp is a hash of the fully
 resolved config and command, so identical inputs land in identical places
 with byte-identical files, and nothing depends on wall-clock time.  Failures
@@ -22,10 +32,13 @@ leave an ``error.json`` record and map to stable exit codes:
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
 import sys
+from collections import namedtuple
+from functools import cached_property
 
 import numpy as np
 
@@ -90,24 +103,15 @@ EXIT_DIVERGENCE = 4
 EXIT_METRIC_GATE = 5
 
 _FAMILIES = ("ou2d", "antidamped2d", "constant")
-_DET_CONTROLLERS = ("teacher", "learned-ffn", "gain-model", "deterministic-exact")
-_STO_CONTROLLERS = ("posterior-exact", "learned-rnn", "volterra-exact")
-_MODELS = ("feedforward", "recurrent", "gain")
 
 
 class MetricGateError(RuntimeError):
     """Raised when --strict metric checks fail; maps to exit code 5."""
 
 
-_TRAIN_DEFAULTS = {
-    "epochs": 40,
-    "batch_size": 256,
-    "learning_rate": 1e-3,
-    "late_learning_rate": None,
-    "hidden_size": 64,
-    "val_fraction": 0.1,
-    "seed": None,
-}
+# Every TrainConfig field; a train seed of None means "use the run seed".
+_TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+_TRAIN_DEFAULTS["seed"] = None
 
 _METRIC_DEFAULTS = {
     "n_permutations": 200,
@@ -193,7 +197,7 @@ def _validate_config(cfg):
             _require(cfg["a"] is not None and cfg["b"] is not None,
                      "the constant family needs explicit 'a' and 'b' matrices")
     _as_int(cfg, "n_theta", 1)
-    _as_int(cfg, "n_steps", 1)
+    _as_int(cfg, "n_steps", 2)
     _as_int(cfg, "n_samples", 1)
     _as_int(cfg, "bridge_paths", 1)
     _as_int(cfg, "seed", 0)
@@ -206,10 +210,10 @@ def _validate_config(cfg):
     cfg["epsilons"] = [float(e) for e in cfg["epsilons"]]
     _require(cfg["coupling"] in ("ot", "product"),
              "'coupling' must be 'ot' or 'product'")
-    _require(cfg["controller"] in _DET_CONTROLLERS + _STO_CONTROLLERS,
+    _require(cfg["controller"] in _CONTROLLERS,
              f"unknown controller {cfg['controller']!r}")
     if cfg["model"] is not None:
-        _require(cfg["model"] in _MODELS, f"unknown model kind {cfg['model']!r}")
+        _require(cfg["model"] in _MODEL_CONTROLLERS, f"unknown model kind {cfg['model']!r}")
     for key in ("x0", "xf"):
         _require(isinstance(cfg[key], list) and len(cfg[key]) >= 1
                  and all(isinstance(v, (int, float)) for v in cfg[key]),
@@ -342,21 +346,6 @@ def _manifest(run_dir, cfg, command, stamp, extra=None):
     return write_manifest(os.path.join(run_dir, "manifest.json"), entries)
 
 
-def _write_controls_csv(path, grid, controls):
-    controls = np.asarray(controls)
-    if controls.ndim == 2:
-        controls = controls[None]
-    times = grid.times
-    with open(path, "w", newline="") as fh:
-        cols = ["path_id", "t"] + [f"u{i + 1}" for i in range(controls.shape[2])]
-        fh.write(",".join(cols) + "\n")
-        for pid in range(controls.shape[0]):
-            for j in range(controls.shape[1]):
-                row = [str(pid), f"{times[j]:.17g}"]
-                row += [f"{v:.17g}" for v in controls[pid, j]]
-                fh.write(",".join(row) + "\n")
-
-
 def _load_trajectory_csv(path):
     """Read a trajectory CSV back into (paths, steps, d) state arrays."""
     try:
@@ -448,111 +437,156 @@ def cmd_bridge(cfg, run_dir, stamp, args):
     return EXIT_OK
 
 
-def _deterministic_pipeline(cfg, run_dir, table, grid, args, train_only=False):
-    seed = cfg["seed"]
-    n = cfg["n_samples"]
-    mu0 = _mixture(cfg["mu0"], "mu0")
-    muf = _mixture(cfg["muf"], "muf")
-    pairs = product_pairs(mu0, muf, n, seed)
-    if cfg["coupling"] == "ot":
-        plan = ot_assignment(pairs.x0s, pairs.xfs)
-    else:
-        plan = product_plan(n)
-    export_plan_csv(os.path.join(run_dir, "coupling_plan.csv"), plan)
-    teacher = teacher_controls(table, pairs.x0s, pairs.xfs, plan)
-    _write_controls_csv(os.path.join(run_dir, "teacher_controls.csv"),
-                        grid, teacher.controls)
-
-    controller = None
-    checkpoint = None
-    controller_name = cfg["model"] or cfg["controller"]
-    if controller_name in ("learned-ffn", "feedforward"):
-        inputs, targets = flatten_endpoint_dataset(
-            teacher.x0s, teacher.controls, grid.times
-        )
-        model, report = train_feedforward(inputs, targets, _train_config(cfg))
-        checkpoint = os.path.join(run_dir, "model.json")
-        save_model(model, checkpoint)
-        report.to_csv(os.path.join(run_dir, "train_report.csv"))
-        controller = FeedforwardController(model)
-    elif controller_name in ("gain-model", "gain"):
-        model, report = train_gain(table, _train_config(cfg))
-        checkpoint = os.path.join(run_dir, "model.json")
-        save_model(model, checkpoint)
-        report.to_csv(os.path.join(run_dir, "train_report.csv"))
-        controller = GainController(model, teacher.targets)
-    elif controller_name == "teacher":
-        controller = TeacherController(teacher.controls)
-    elif controller_name == "deterministic-exact":
-        controller = DeterministicExactController(teacher.targets)
-    else:
-        raise ConfigError(
-            f"controller {controller_name!r} does not fit the deterministic pipeline"
-        )
-    if train_only:
-        return None, None, checkpoint, muf
-    rollout = rollout_deterministic(table, controller, pairs.x0s, threads=args.threads)
-    export_trajectory_csv(os.path.join(run_dir, "rollout.csv"), grid,
-                          rollout.states, rollout.controls)
-    target_cloud = sample(muf, n, seed, stream=3)
-    report = compare_laws(rollout, target_cloud, metric_seed=seed)
-    return rollout, (report, rollout.terminal, target_cloud), checkpoint, muf
+# ---------------------------------------------------------------------------
+# Controller registry
 
 
-def _stochastic_pipeline(cfg, run_dir, table, grid, args, train_only=False):
-    seed = cfg["seed"]
-    n = cfg["n_samples"]
-    eps = cfg["epsilon"]
-    mu0 = _mixture(cfg["mu0"], "mu0")
-    muf = _mixture(cfg["muf"], "muf")
-    pairs = product_pairs(mu0, muf, n, seed)
-    if cfg["coupling"] == "ot":
-        plan = ot_assignment(pairs.x0s, pairs.xfs)
-        xfs = pairs.xfs[plan.permutation]
-    else:
-        xfs = pairs.xfs
+class _Pairs:
+    """The run's endpoint samples, coupled and turned into teachers on first use.
 
-    controller = None
-    checkpoint = None
-    rollout_x0s = pairs.x0s
-    rollout_seed = seed
-    controller_name = cfg["model"] or cfg["controller"]
-    if controller_name in ("learned-rnn", "recurrent"):
-        bridges = bridge_ensemble(table, pairs.x0s, xfs, eps, seed,
-                                  threads=args.threads)
-        feats, targets = sequence_dataset(
-            pairs.x0s, bridges.noise, bridges.controls, grid.times
-        )
-        model, report = train_recurrent(feats, targets, _train_config(cfg))
-        checkpoint = os.path.join(run_dir, "model.json")
-        save_model(model, checkpoint)
-        report.to_csv(os.path.join(run_dir, "train_report.csv"))
-        controller = RecurrentController(model)
-        rollout_x0s = sample(mu0, n, seed, stream=5)
-        rollout_seed = seed + 1
-    elif controller_name == "posterior-exact":
-        _require(mu0.n_components == 1,
-                 "posterior-exact steering needs a single-Gaussian mu0")
-        controller = PosteriorExactController(mu0, muf)
-        rollout_x0s = sample(mu0, n, seed, stream=5)
-        rollout_seed = seed + 1
-    elif controller_name == "volterra-exact":
-        controller = VolterraExactController(xfs)
-    else:
-        raise ConfigError(
-            f"controller {controller_name!r} does not fit the stochastic pipeline"
-        )
-    if train_only:
-        return None, None, checkpoint, muf
-    rollout = rollout_stochastic(table, controller, rollout_x0s, eps,
-                                 rollout_seed, threads=args.threads)
-    export_trajectory_csv(os.path.join(run_dir, "rollout.csv"), grid,
-                          rollout.states, rollout.controls)
-    reference_pairs = product_pairs(mu0, muf, n, seed + 2)
-    reference = bridge_ensemble(table, reference_pairs.x0s, reference_pairs.xfs,
-                                eps, seed + 3, threads=args.threads)
-    report = compare_laws(rollout, reference, metric_seed=seed)
-    return rollout, (report, rollout.terminal, reference.states[:, -1, :]), checkpoint, muf
+    Nothing is sampled, coupled or simulated until a builder, trainer or
+    rollout reads it, so a controller that never reads the coupled targets
+    never pays for the coupling.
+    """
+
+    def __init__(self, cfg, table, threads):
+        self.cfg = cfg
+        self.table = table
+        self.threads = threads
+
+    @cached_property
+    def mu0(self):
+        return _mixture(self.cfg["mu0"], "mu0")
+
+    @cached_property
+    def muf(self):
+        return _mixture(self.cfg["muf"], "muf")
+
+    @cached_property
+    def samples(self):
+        return product_pairs(self.mu0, self.muf, self.cfg["n_samples"], self.cfg["seed"])
+
+    @property
+    def x0s(self):
+        return self.samples.x0s
+
+    @cached_property
+    def plan(self):
+        if self.cfg["coupling"] == "ot":
+            return ot_assignment(self.samples.x0s, self.samples.xfs)
+        return product_plan(self.cfg["n_samples"])
+
+    @cached_property
+    def targets(self):
+        """The coupled terminal point of each start."""
+        return self.samples.xfs[self.plan.permutation]
+
+    @cached_property
+    def teacher(self):
+        """Exact open-loop controls of the coupled pairs."""
+        return teacher_controls(self.table, self.x0s, self.samples.xfs, self.plan)
+
+    @cached_property
+    def bridges(self):
+        """Pinned bridges between the coupled pairs at the run's epsilon."""
+        return bridge_ensemble(self.table, self.x0s, self.targets, self.cfg["epsilon"],
+                               self.cfg["seed"], threads=self.threads)
+
+
+def _single_gaussian(mixture):
+    _require(mixture.n_components == 1,
+             "posterior-exact steering needs a single-Gaussian mu0")
+    return mixture
+
+
+_DET, _STO = "deterministic", "stochastic"
+# regime: _DET or _STO, the rollout driver; model: the kind flow trains and
+# simulate loads, or None; build: (pairs, model) -> controller.
+_Entry = namedtuple("_Entry", "regime model build")
+
+_CONTROLLERS = {
+    "teacher": _Entry(_DET, None, lambda p, m: TeacherController(p.teacher.controls)),
+    "learned-ffn": _Entry(_DET, "feedforward", lambda p, m: FeedforwardController(m)),
+    "gain-model": _Entry(_DET, "gain", lambda p, m: GainController(m, p.targets)),
+    "deterministic-exact": _Entry(
+        _DET, None, lambda p, m: DeterministicExactController(p.targets)),
+    "posterior-exact": _Entry(
+        _STO, None, lambda p, m: PosteriorExactController(_single_gaussian(p.mu0), p.muf)),
+    "learned-rnn": _Entry(_STO, "recurrent", lambda p, m: RecurrentController(m)),
+    "volterra-exact": _Entry(_STO, None, lambda p, m: VolterraExactController(p.targets)),
+}
+# A config's 'model' key names a kind and so the controller that uses it.
+_MODEL_CONTROLLERS = {e.model: name for name, e in _CONTROLLERS.items() if e.model}
+
+_TRAINERS = {
+    "feedforward": lambda p, config: train_feedforward(
+        *flatten_endpoint_dataset(p.x0s, p.teacher.controls, p.table.grid.times), config),
+    "recurrent": lambda p, config: train_recurrent(
+        *sequence_dataset(p.x0s, p.bridges.noise, p.bridges.controls, p.table.grid.times),
+        config),
+    "gain": lambda p, config: train_gain(p.table, config),
+}
+
+
+def _fit(cfg, run_dir, kind, pairs):
+    """Train a model of ``kind``; save its checkpoint and training report."""
+    model, report = _TRAINERS[kind](pairs, _train_config(cfg))
+    checkpoint = os.path.join(run_dir, "model.json")
+    save_model(model, checkpoint)
+    report.to_csv(os.path.join(run_dir, "train_report.csv"))
+    return model, checkpoint
+
+
+def _controller(cfg, name, pairs, run_dir=None):
+    """(controller, checkpoint written or None).  The model is trained into
+    ``run_dir``, or without one loaded from the configured checkpoint."""
+    entry = _CONTROLLERS[name]
+    model = checkpoint = None
+    if entry.model and run_dir:
+        model, checkpoint = _fit(cfg, run_dir, entry.model, pairs)
+    elif entry.model:
+        _require(cfg["checkpoint"], f"controller {name!r} needs a 'checkpoint' path")
+        model = load_model(cfg["checkpoint"])
+        _require(model.kind == entry.model,
+                 f"controller {name!r} needs a {entry.model} checkpoint; "
+                 f"{cfg['checkpoint']!r} holds a {model.kind} model")
+    return entry.build(pairs, model), checkpoint
+
+
+def _record_coupling(run_dir, entry, pairs):
+    """Keep the plan and teacher controls of a deterministic run that coupled."""
+    if entry.regime == _DET and "plan" in vars(pairs):
+        export_plan_csv(os.path.join(run_dir, "coupling_plan.csv"), pairs.plan)
+        export_trajectory_csv(os.path.join(run_dir, "teacher_controls.csv"),
+                              pairs.table.grid, controls=pairs.teacher.controls)
+
+
+def _rollout(cfg, entry, controller, pairs, held_out=False):
+    """Roll out on the regime's driver from the paired starts.
+
+    With ``held_out``, a stochastic controller that carries no per-path
+    targets starts instead from fresh samples of mu0 under fresh noise, so a
+    learned one is not measured on the starts and noise it was trained on.
+    """
+    table, seed, threads = pairs.table, cfg["seed"], pairs.threads
+    if entry.regime == _DET:
+        return rollout_deterministic(table, controller, pairs.x0s, threads=threads)
+    x0s = pairs.x0s
+    if held_out and not hasattr(controller, "targets"):
+        x0s, seed = sample(pairs.mu0, cfg["n_samples"], seed, stream=5), seed + 1
+    return rollout_stochastic(table, controller, x0s, cfg["epsilon"], seed,
+                              threads=threads)
+
+
+def _reference(cfg, entry, pairs):
+    """What a flow rollout is measured against: samples of mu_f, or under
+    noise a bridge ensemble between fresh pairs."""
+    n, seed = cfg["n_samples"], cfg["seed"]
+    if entry.regime == _DET:
+        return sample(pairs.muf, n, seed, stream=3)
+    fresh = product_pairs(pairs.mu0, pairs.muf, n, seed + 2)
+    return bridge_ensemble(pairs.table, fresh.x0s, fresh.xfs, cfg["epsilon"], seed + 3,
+                           threads=pairs.threads)
 
 
 def _apply_metric_gate(cfg, args, observed, left_cloud, right_cloud):
@@ -580,44 +614,39 @@ def _apply_metric_gate(cfg, args, observed, left_cloud, right_cloud):
 
 def cmd_flow(cfg, run_dir, stamp, args):
     _, grid, table = _build_table(cfg)
-    if cfg["controller"] in _DET_CONTROLLERS:
-        rollout, metrics_pack, checkpoint, _ = _deterministic_pipeline(
-            cfg, run_dir, table, grid, args
-        )
-    else:
-        rollout, metrics_pack, checkpoint, _ = _stochastic_pipeline(
-            cfg, run_dir, table, grid, args
-        )
-    report, left_cloud, right_cloud = metrics_pack
+    name = _MODEL_CONTROLLERS[cfg["model"]] if cfg["model"] else cfg["controller"]
+    entry = _CONTROLLERS[name]
+    regime = _CONTROLLERS[cfg["controller"]].regime
+    _require(entry.regime == regime,
+             f"model {cfg['model']!r} does not fit the {regime} pipeline")
+    pairs = _Pairs(cfg, table, args.threads)
+    controller, checkpoint = _controller(cfg, name, pairs, run_dir)
+    _record_coupling(run_dir, entry, pairs)
+    rollout = _rollout(cfg, entry, controller, pairs, held_out=True)
+    export_trajectory_csv(os.path.join(run_dir, "rollout.csv"), grid,
+                          rollout.states, rollout.controls)
+    reference = _reference(cfg, entry, pairs)
+    report = compare_laws(rollout, reference, metric_seed=cfg["seed"])
     export_metrics(report, run_dir)
     _manifest(run_dir, cfg, "flow", stamp, extra={
         "checkpoint": checkpoint,
         "terminal_energy_distance": report.energy_distance,
         "outputs": sorted(os.listdir(run_dir)),
     })
-    _apply_metric_gate(cfg, args, report.energy_distance, left_cloud, right_cloud)
+    _apply_metric_gate(cfg, args, report.energy_distance, rollout.terminal,
+                       getattr(reference, "terminal", reference))
     print(f"flow pipeline outputs in {run_dir} "
           f"(terminal energy distance {report.energy_distance:.6g})")
     return EXIT_OK
 
 
 def cmd_train(cfg, run_dir, stamp, args):
-    _require(cfg["model"] in _MODELS,
+    _require(cfg["model"] in _MODEL_CONTROLLERS,
              "the train command needs 'model': feedforward | recurrent | gain")
-    _, grid, table = _build_table(cfg)
-    if cfg["model"] == "gain":
-        model, report = train_gain(table, _train_config(cfg))
-        checkpoint = os.path.join(run_dir, "model.json")
-        save_model(model, checkpoint)
-        report.to_csv(os.path.join(run_dir, "train_report.csv"))
-    elif cfg["model"] == "feedforward":
-        _, _, checkpoint, _ = _deterministic_pipeline(
-            cfg, run_dir, table, grid, args, train_only=True
-        )
-    else:
-        _, _, checkpoint, _ = _stochastic_pipeline(
-            cfg, run_dir, table, grid, args, train_only=True
-        )
+    _, _, table = _build_table(cfg)
+    pairs = _Pairs(cfg, table, args.threads)
+    _, checkpoint = _fit(cfg, run_dir, cfg["model"], pairs)
+    _record_coupling(run_dir, _CONTROLLERS[_MODEL_CONTROLLERS[cfg["model"]]], pairs)
     _manifest(run_dir, cfg, "train", stamp, extra={
         "checkpoint": checkpoint,
         "model": cfg["model"],
@@ -629,44 +658,10 @@ def cmd_train(cfg, run_dir, stamp, args):
 
 def cmd_simulate(cfg, run_dir, stamp, args):
     _, grid, table = _build_table(cfg)
-    seed = cfg["seed"]
-    n = cfg["n_samples"]
-    mu0 = _mixture(cfg["mu0"], "mu0")
-    muf = _mixture(cfg["muf"], "muf")
-    pairs = product_pairs(mu0, muf, n, seed)
-    if cfg["coupling"] == "ot":
-        plan = ot_assignment(pairs.x0s, pairs.xfs)
-        xfs = pairs.xfs[plan.permutation]
-    else:
-        xfs = pairs.xfs
-    name = cfg["controller"]
-    needs_model = name in ("learned-ffn", "learned-rnn", "gain-model")
-    model = None
-    if needs_model:
-        _require(cfg["checkpoint"], f"controller {name!r} needs a 'checkpoint' path")
-        model = load_model(cfg["checkpoint"])
-    if name == "teacher":
-        controller = TeacherController(
-            teacher_controls(table, pairs.x0s, xfs).controls
-        )
-    elif name == "deterministic-exact":
-        controller = DeterministicExactController(xfs)
-    elif name == "learned-ffn":
-        controller = FeedforwardController(model)
-    elif name == "gain-model":
-        controller = GainController(model, xfs)
-    elif name == "volterra-exact":
-        controller = VolterraExactController(xfs)
-    elif name == "learned-rnn":
-        controller = RecurrentController(model)
-    else:
-        controller = PosteriorExactController(mu0, muf)
-    if name in _DET_CONTROLLERS:
-        rollout = rollout_deterministic(table, controller, pairs.x0s,
-                                        threads=args.threads)
-    else:
-        rollout = rollout_stochastic(table, controller, pairs.x0s,
-                                     cfg["epsilon"], seed, threads=args.threads)
+    entry = _CONTROLLERS[cfg["controller"]]
+    pairs = _Pairs(cfg, table, args.threads)
+    controller, _ = _controller(cfg, cfg["controller"], pairs)
+    rollout = _rollout(cfg, entry, controller, pairs)
     export_trajectory_csv(os.path.join(run_dir, "rollout.csv"), grid,
                           rollout.states, rollout.controls)
     _manifest(run_dir, cfg, "simulate", stamp, extra={

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .bridge import _path_slices, _run_chunks, sample_brownian_path, volterra_noise_terms
+from .bridge import _path_slices, _run_chunks, sample_increments, volterra_noise_terms
 from .distributions import PosteriorContext, posterior_mean_batch, recompute_mean_r
 from .kernel import causal_convolve
 
@@ -258,13 +258,6 @@ def rollout_deterministic(table, controller, x0s, threads=1):
     )
 
 
-def _draw_increments(grid, dim_control, seed, paths):
-    dw = np.empty((paths, grid.n_steps, dim_control))
-    for p in range(paths):
-        dw[p] = sample_brownian_path(grid, dim_control, seed, p).increments
-    return dw
-
-
 def _zero_noise_data(paths, table):
     n, d = table.n_steps, table.dim_state
     zero = np.zeros((paths, n + 1, d))
@@ -286,9 +279,10 @@ def rollout_stochastic(table, controller, x0s, epsilon, seed, threads=1):
     State at t_j is recomputed as M(t_j) x0 + sum_{k<j} Phi(t_j,t_k)
     (u_k dt + sqrt(eps) dW_k); increments come from per-path counter-based
     streams keyed by (seed, path index), so results do not depend on chunking
-    or thread count.  State-feedback controllers force the sequential driver;
-    everything else precomputes its control table and uses the convolution
-    fast path.
+    or thread count.  State-feedback controllers force the sequential driver,
+    which stays single-threaded; everything else precomputes its control
+    table and uses the convolution fast path, whose final convolution is
+    split across ``threads`` path chunks.
     """
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     if epsilon < 0:
@@ -297,7 +291,7 @@ def rollout_stochastic(table, controller, x0s, epsilon, seed, threads=1):
     n, m, d = table.n_steps, table.dim_control, table.dim_state
     dt = table.grid.dt
     root = np.sqrt(epsilon)
-    dw = _draw_increments(table.grid, m, seed, paths)
+    dw = sample_increments(table.grid, m, seed, paths)
 
     if hasattr(controller, "control_step"):
         states, controls = _rollout_sequential(
@@ -325,9 +319,12 @@ def rollout_stochastic(table, controller, x0s, epsilon, seed, threads=1):
                 f"controller '{getattr(controller, 'tag', '?')}' fits neither rollout driver"
             )
         v = u * dt + root * dw
-        tail = causal_convolve(table.phi_lag[1:], v)
         states = np.einsum("jab,pb->pja", table.m_avg, x0s)
-        states[:, 1:, :] += tail
+
+        def run(sl):
+            states[sl, 1:, :] += causal_convolve(table.phi_lag[1:], v[sl])
+
+        _run_chunks(run, _path_slices(paths, threads), threads)
         controls = np.full((paths, n + 1, m), np.nan)
         controls[:, :n, :] = u
     return RolloutEnsemble(

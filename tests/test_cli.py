@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from avgflow.cli import main
+from avgflow.cli import _CONTROLLERS, main
 from avgflow.learn import load_model
 
 OU_GAIN_DIAG = 0.9727707
@@ -86,6 +86,11 @@ class TestKernelCommand:
         code = invoke(monkeypatch, tmp_path, "kernel", {"family": "nope"})
         assert code == 2
         assert "unknown system family" in capsys.readouterr().err
+
+    def test_single_step_grid_exits_2(self, tmp_path, monkeypatch, capsys):
+        code = invoke(monkeypatch, tmp_path, "kernel", {"n_steps": 1})
+        assert code == 2
+        assert "n_steps" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_2(self, tmp_path, monkeypatch, capsys):
         code = invoke(monkeypatch, tmp_path, "kernel", {"frobnicate": 1})
@@ -308,6 +313,75 @@ class TestSimulateCommand:
             "seed": 4,
         }
         assert invoke(monkeypatch, tmp_path, "simulate", config) == 0
+
+
+class TestControllerRegistry:
+    BASE = {
+        "n_steps": 20,
+        "n_samples": 8,
+        "epsilon": 0.5,
+        "train": {"epochs": 1, "hidden_size": 8},
+        "seed": 2,
+    }
+    MIXTURE = {
+        "type": "mixture",
+        "weights": [0.5, 0.5],
+        "means": [[0.0, 0.0], [1.0, 1.0]],
+        "covs": [0.01, 0.01],
+    }
+
+    @pytest.fixture(scope="class")
+    def checkpoints(self, tmp_path_factory):
+        """One trained checkpoint per model kind."""
+        root = tmp_path_factory.mktemp("checkpoints")
+        paths = {}
+        with pytest.MonkeyPatch.context() as mp:
+            for kind in ("feedforward", "recurrent", "gain"):
+                assert invoke(mp, root / kind, "train", dict(self.BASE, model=kind)) == 0
+                paths[kind] = str(only_run_dir(root / kind, "train") / "model.json")
+        return paths
+
+    def config(self, name, checkpoints):
+        return dict(self.BASE, controller=name,
+                    checkpoint=checkpoints.get(_CONTROLLERS[name].model))
+
+    @pytest.mark.parametrize("name", sorted(_CONTROLLERS))
+    def test_flow_and_simulate_run_every_controller(
+            self, name, checkpoints, tmp_path, monkeypatch):
+        config = self.config(name, checkpoints)
+        assert invoke(monkeypatch, tmp_path / "f", "flow", config) == 0
+        assert invoke(monkeypatch, tmp_path / "s", "simulate", config) == 0
+        for root, command in ((tmp_path / "f", "flow"), (tmp_path / "s", "simulate")):
+            rollout = only_run_dir(root, command) / "rollout.csv"
+            assert read_terminals(rollout).shape == (8, 2)
+
+    @pytest.mark.parametrize("command, name", [
+        ("flow", "posterior-exact"),
+        ("simulate", "posterior-exact"),
+        ("simulate", "learned-ffn"),
+        ("simulate", "learned-rnn"),
+    ])
+    def test_controllers_without_targets_skip_the_coupling(
+            self, command, name, checkpoints, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ot_assignment called")
+
+        monkeypatch.setattr("avgflow.cli.ot_assignment", refuse)
+        config = dict(self.config(name, checkpoints), coupling="ot")
+        assert invoke(monkeypatch, tmp_path, command, config) == 0
+
+    def test_simulate_posterior_needs_single_gaussian_start(
+            self, tmp_path, monkeypatch, capsys):
+        config = dict(self.BASE, controller="posterior-exact", mu0=self.MIXTURE)
+        assert invoke(monkeypatch, tmp_path, "simulate", config) == 2
+        assert "single-Gaussian" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["learned-ffn", "learned-rnn"])
+    def test_checkpoint_of_another_kind_exits_2(
+            self, name, checkpoints, tmp_path, monkeypatch, capsys):
+        config = dict(self.BASE, controller=name, checkpoint=checkpoints["gain"])
+        assert invoke(monkeypatch, tmp_path, "simulate", config) == 2
+        assert "gain model" in capsys.readouterr().err
 
 
 class TestMetricsCommand:

@@ -207,14 +207,17 @@ class TestStochasticRollouts:
         assert np.abs(a.states - c.states).max() > 1e-3
 
     def test_thread_count_does_not_change_states(self, ou2d_table):
-        x0s = np.tile([1.0, 0.0], (16, 1))
+        """Per-path targets over uneven path chunks: 7 paths on 3 threads."""
+        x0s = np.column_stack([np.linspace(0.5, 1.5, 7), np.zeros(7)])
+        targets = np.column_stack([np.ones(7), np.linspace(0.5, 1.5, 7)])
         one = rollout_stochastic(
-            ou2d_table, VolterraExactController(TARGET), x0s, 0.5, seed=11, threads=1
+            ou2d_table, VolterraExactController(targets), x0s, 0.5, seed=11, threads=1
         )
-        four = rollout_stochastic(
-            ou2d_table, VolterraExactController(TARGET), x0s, 0.5, seed=11, threads=4
+        three = rollout_stochastic(
+            ou2d_table, VolterraExactController(targets), x0s, 0.5, seed=11, threads=3
         )
-        np.testing.assert_array_equal(one.states, four.states)
+        np.testing.assert_array_equal(one.states, three.states)
+        np.testing.assert_array_equal(one.controls, three.controls)
 
     def test_negative_epsilon_rejected(self, ou2d_table):
         with pytest.raises(ValueError):
