@@ -39,13 +39,11 @@ from .distributions import (
     GaussianMixture,
     PosteriorContext,
     SamplePairSet,
-    advance_mean_r,
     point_mass,
     posterior_control,
     posterior_mean,
     posterior_mean_batch,
     product_pairs,
-    recompute_mean_r,
     ring_mixture,
     sample,
     single_gaussian,

@@ -20,7 +20,8 @@ controller (posterior-exact) stays single-threaded.
 Every run writes into a stamped directory: the stamp is a hash of the fully
 resolved config and command, so identical inputs land in identical places
 with byte-identical files, and nothing depends on wall-clock time.  Failures
-leave an ``error.json`` record and map to stable exit codes:
+leave an ``error.json`` record (in the base output directory when the config
+itself fails to load) and map to stable exit codes:
 
     0  success
     2  configuration problem (also used by argparse itself)
@@ -31,12 +32,12 @@ leave an ``error.json`` record and map to stable exit codes:
 """
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
 import os
 import sys
+import warnings
 from collections import namedtuple
 from functools import cached_property
 
@@ -347,24 +348,34 @@ def _manifest(run_dir, cfg, command, stamp, extra=None):
 
 
 def _load_trajectory_csv(path):
-    """Read a trajectory CSV back into (paths, steps, d) state arrays."""
+    """Read a trajectory CSV back into (paths, steps, d) state arrays.
+
+    Reads what :func:`avgflow.bridge.export_trajectory_csv` writes (a header
+    that starts ``path_id,t`` and names at least one ``x`` column, ``.17g``
+    values, rows path-major with paths in id order) and returns its states
+    bitwise.  Paths come back in id order and rows keep their file order
+    within a path, so a file whose paths are interleaved reads the same as
+    the path-major one.  Only the id and state columns are parsed.
+    """
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = [[float(v) for v in row] for row in reader if row]
-    except (OSError, ValueError, StopIteration) as exc:
+        with open(path) as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            state_cols = [i for i, name in enumerate(header) if name.startswith("x")]
+            _require(header[:2] == ["path_id", "t"] and state_cols,
+                     f"{path!r} is not a trajectory CSV")
+            with warnings.catch_warnings():
+                # An empty body is reported below as an error.
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
+                                  usecols=[0] + state_cols)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read trajectory file {path!r}: {exc}") from exc
-    state_cols = [i for i, name in enumerate(header) if name.startswith("x")]
-    _require(header[:2] == ["path_id", "t"] and state_cols,
-             f"{path!r} is not a trajectory CSV")
-    data = np.asarray(rows, dtype=float)
+    _require(data.shape[0] > 0, f"{path!r} holds no trajectory rows")
     ids = data[:, 0].astype(int)
-    order = np.unique(ids)
-    per_path = [data[ids == pid][:, state_cols] for pid in order]
-    steps = {p.shape[0] for p in per_path}
-    _require(len(steps) == 1, f"{path!r} has ragged path lengths")
-    return np.stack(per_path)
+    _, counts = np.unique(ids, return_counts=True)
+    _require(np.all(counts == counts[0]), f"{path!r} has ragged path lengths")
+    order = np.argsort(ids, kind="stable")
+    return data[order, 1:].reshape(counts.size, counts[0], len(state_cols))
 
 
 def _write_error(cfg, run_dir, exc, code):
@@ -453,14 +464,9 @@ class _Pairs:
         self.cfg = cfg
         self.table = table
         self.threads = threads
-
-    @cached_property
-    def mu0(self):
-        return _mixture(self.cfg["mu0"], "mu0")
-
-    @cached_property
-    def muf(self):
-        return _mixture(self.cfg["muf"], "muf")
+        # Both laws are checked up front, even for a trainer that reads neither.
+        self.mu0 = _mixture(cfg["mu0"], "mu0")
+        self.muf = _mixture(cfg["muf"], "muf")
 
     @cached_property
     def samples(self):
@@ -758,7 +764,7 @@ def _exit_code_for(exc):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    cfg = None
+    cfg = {}  # until the config loads, errors go to the base directory
     run_dir = None
     try:
         cfg = _load_config(args)
@@ -767,8 +773,7 @@ def main(argv=None):
     except Exception as exc:
         code = _exit_code_for(exc)
         print(f"error: {exc}", file=sys.stderr)
-        if cfg is not None:
-            _write_error(cfg, run_dir, exc, code)
+        _write_error(cfg, run_dir, exc, code)
         return code
 
 

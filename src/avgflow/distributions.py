@@ -140,8 +140,8 @@ def product_pairs(mu0, muf, n, seed):
 class PosteriorContext:
     """Everything the endpoint posterior needs besides the kernel table.
 
-    ``mean_r`` is the running memory term of the observation model; advance it
-    with :func:`advance_mean_r` as increments are consumed.
+    ``mean_r`` is the memory term of the observation model at the current
+    grid index j: ``-sqrt(eps) * volterra_noise_terms(...)["memory"][j]``.
     ``drop_normalization`` switches the component log-weights to the bare
     exponent form (no determinant term), matching the unnormalized weighting
     some derivations use; the default keeps proper Gaussian likelihoods.
@@ -160,42 +160,6 @@ class PosteriorContext:
             raise ValueError("epsilon must be >= 0")
         if self.mean_r is None:
             self.mean_r = np.zeros(self.mu0.dim)
-
-
-def recompute_mean_r(table, d_hist, t_index, epsilon):
-    """Memory term -sqrt(eps) * dt * sum_{k<=j} Phi(t_j,t_k) Phi(t_f,t_k)^T D(t_k).
-
-    ``d_hist`` may be (n+1, d) for one path or (paths, n+1, d); only entries
-    up to t_index are read.  Cost is O(t_index) matrix products per call: the
-    kernel depends on both time arguments, so there is no running shortcut.
-    """
-    n = table.n_steps
-    if not 0 <= t_index <= n:
-        raise ValueError(f"t_index out of range [0, {n}]")
-    d_hist = np.asarray(d_hist, dtype=float)
-    squeeze = d_hist.ndim == 2
-    if squeeze:
-        d_hist = d_hist[None]
-    j = t_index
-    if j == 0:
-        out = np.zeros((d_hist.shape[0], table.dim_state))
-    else:
-        phi = table.phi_lag
-        v = np.einsum("kab,pka->pkb", phi[n - j : n + 1][::-1], d_hist[:, : j + 1])
-        out = -np.sqrt(epsilon) * table.grid.dt * np.einsum(
-            "kab,pkb->pa", phi[: j + 1][::-1], v
-        )
-    return out[0] if squeeze else out
-
-
-def advance_mean_r(ctx, table, vstate, t_index):
-    """Refresh ctx.mean_r from a Volterra state advanced to t_index."""
-    if vstate.t_index < t_index:
-        raise ValueError(
-            f"Volterra state only advanced to {vstate.t_index}, need {t_index}"
-        )
-    ctx.mean_r = recompute_mean_r(table, vstate.d_hist, t_index, ctx.epsilon)
-    return ctx.mean_r
 
 
 def _posterior_pieces(ctx, table, t_index):

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .bridge import _path_slices, _run_chunks, sample_increments, volterra_noise_terms
-from .distributions import PosteriorContext, posterior_mean_batch, recompute_mean_r
+from .distributions import PosteriorContext, posterior_mean_batch
 from .kernel import causal_convolve
 
 CHECKPOINT_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
@@ -206,12 +206,8 @@ class PosteriorExactController:
             )
         return self._ctx
 
-    def control_step(self, table, t_index, states, x0s, d_hist, epsilon):
+    def control_step(self, table, t_index, states, x0s, d_hist, epsilon, mean_r):
         ctx = self._context(epsilon)
-        if epsilon > 0:
-            mean_r = recompute_mean_r(table, d_hist, t_index, epsilon)
-        else:
-            mean_r = np.zeros_like(states)
         post = posterior_mean_batch(ctx, table, t_index, states, mean_r)
         residual = post - x0s @ table.m_avg[table.n_steps].T
         controls = np.einsum("ab,pb->pa", table.k_gain[t_index], residual)
@@ -347,15 +343,17 @@ def _rollout_sequential(table, controller, x0s, epsilon, dw):
     root = np.sqrt(epsilon)
     if epsilon > 0:
         noise_data = volterra_noise_terms(table, dw)
+        # The posterior's memory term is -sqrt(eps) * memory; scaled in place.
+        noise_data["memory"] *= -root
     else:
         noise_data = _zero_noise_data(paths, table)
-    d_hist = noise_data["d_hist"]
+    d_hist, mean_r = noise_data["d_hist"], noise_data["memory"]
     states = np.einsum("jab,pb->pja", table.m_avg, x0s)
     controls = np.full((paths, n + 1, m), np.nan)
     for j in range(n):
         try:
             u_j = controller.control_step(
-                table, j, states[:, j, :], x0s, d_hist, epsilon
+                table, j, states[:, j, :], x0s, d_hist, epsilon, mean_r[:, j]
             )
         except Exception as exc:
             raise _annotate(exc, controller.tag, j)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from avgflow import (
     EndpointPair,
@@ -22,6 +23,7 @@ from avgflow import (
     volterra_noise_terms,
     volterra_trajectory,
 )
+from avgflow.cli import _load_trajectory_csv
 
 PAIR = EndpointPair(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
 
@@ -293,6 +295,26 @@ class TestNoiseTerms:
                 np.testing.assert_allclose(batch[key][p], single[key], atol=1e-12)
 
 
+def reference_trajectory_csv(path, grid, states=None, controls=None):
+    """Byte oracle: the trajectory writer as one formatting call per cell."""
+    cols, blocks = ["path_id", "t"], []
+    for prefix, arr in (("x", states), ("u", controls)):
+        if arr is not None:
+            arr = np.asarray(arr)
+            arr = arr[None] if arr.ndim == 2 else arr
+            cols += [f"{prefix}{i + 1}" for i in range(arr.shape[2])]
+            blocks.append(arr)
+    values = np.concatenate(blocks, axis=2)
+    times = grid.times
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for p in range(values.shape[0]):
+            for j in range(values.shape[1]):
+                row = [str(p), f"{times[j]:.17g}"]
+                row += [f"{v:.17g}" for v in values[p, j]]
+                fh.write(",".join(row) + "\n")
+
+
 class TestTrajectoryCsv:
     def test_roundtrip_preserves_values(self, const_table, tmp_path):
         path = deterministic_trajectory(const_table, PAIR)
@@ -306,3 +328,61 @@ class TestTrajectoryCsv:
         assert data.shape[0] == const_table.n_steps + 1
         np.testing.assert_array_equal(data[:, 2:4], path.states)
         np.testing.assert_array_equal(data[:, 4:6], path.controls)
+
+    @pytest.fixture(scope="class")
+    def blocks(self, const_table):
+        """Random states and controls with every special value the format
+        must carry: a NaN last control row, -0.0, +-inf and subnormals."""
+        rng = np.random.Generator(np.random.Philox(key=[61, 0]))
+        steps = const_table.n_steps + 1
+        scales = 10.0 ** rng.integers(-300, 300, (3, steps, 2))
+        states = rng.normal(size=(3, steps, 2)) * scales
+        controls = rng.normal(size=(3, steps, 2))
+        controls[:, -1] = np.nan
+        states[0, :4, 0] = [-0.0, np.inf, -np.inf, 5e-324]
+        controls[1, 2] = [2.2250738585072009e-308, -1e-310]
+        return states, controls
+
+    @pytest.mark.parametrize("layout", ["3d", "2d", "states", "controls"])
+    def test_bytes_match_the_per_cell_writer(self, const_table, blocks, layout, tmp_path):
+        states, controls = blocks
+        args = {"3d": (states, controls), "2d": (states[0], controls[0]),
+                "states": (states, None), "controls": (None, controls)}[layout]
+        export_trajectory_csv(str(tmp_path / "got.csv"), const_table.grid, *args)
+        reference_trajectory_csv(str(tmp_path / "want.csv"), const_table.grid, *args)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_shuffled_rows_read_back_bitwise(self, const_table, blocks, tmp_path):
+        states, controls = blocks
+        grid = const_table.grid
+        export_trajectory_csv(str(tmp_path / "sorted.csv"), grid, states, controls)
+        header, *rows = (tmp_path / "sorted.csv").read_text().splitlines()
+        # Grid-major with the paths reversed: every path is spread over the
+        # file, but its own rows stay in grid order.
+        steps = const_table.n_steps + 1
+        shuffled = [rows[p * steps + j] for j in range(steps) for p in (2, 1, 0)]
+        (tmp_path / "shuffled.csv").write_text("\n".join([header, *shuffled]) + "\n")
+        got = _load_trajectory_csv(str(tmp_path / "shuffled.csv"))
+        want = _load_trajectory_csv(str(tmp_path / "sorted.csv"))
+        assert got.tobytes() == want.tobytes() == states.tobytes()
+
+    @given(
+        arrays(np.float64,
+               st.tuples(st.integers(1, 5), st.integers(3, 12), st.integers(1, 3))),
+        st.integers(0, 3),
+        st.floats(1e-3, 1e3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_arbitrary_floats_roundtrip(self, tmp_path_factory, states, m, t_f):
+        """Any float64 ensemble is written byte for byte like the per-cell
+        writer and reads back bitwise (every NaN reads back as the plain NaN)."""
+        grid = TimeGrid(t_f, states.shape[1] - 1)
+        controls = states[:, :, :1].repeat(m, axis=2) if m else None
+        out = tmp_path_factory.mktemp("prop")
+        export_trajectory_csv(str(out / "got.csv"), grid, states, controls)
+        reference_trajectory_csv(str(out / "want.csv"), grid, states, controls)
+        assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+        expected = np.where(np.isnan(states), np.nan, states)
+        got = _load_trajectory_csv(str(out / "got.csv"))
+        assert got.shape == states.shape
+        assert got.tobytes() == expected.tobytes()

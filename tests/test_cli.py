@@ -97,6 +97,13 @@ class TestKernelCommand:
         assert code == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_config_error_leaves_an_error_record(self, tmp_path, monkeypatch):
+        assert invoke(monkeypatch, tmp_path, "kernel", {"frobnicate": 1}) == 2
+        record = json.loads((tmp_path / "error.json").read_text())
+        assert record["exit_code"] == 2
+        assert record["error"] == "ConfigError"
+        assert not run_dirs(tmp_path, "kernel")
+
     def test_missing_config_file_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("AVGFLOW_OUT", str(tmp_path))
         code = main(["kernel", "--config", str(tmp_path / "absent.json")])
@@ -376,6 +383,13 @@ class TestControllerRegistry:
         assert invoke(monkeypatch, tmp_path, "simulate", config) == 2
         assert "single-Gaussian" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("law", ["mu0", "muf"])
+    @pytest.mark.parametrize("kind", ["feedforward", "recurrent", "gain"])
+    def test_train_rejects_a_malformed_law(self, kind, law, tmp_path, monkeypatch, capsys):
+        config = dict(self.BASE, model=kind, **{law: {"type": "weird"}})
+        assert invoke(monkeypatch, tmp_path, "train", config) == 2
+        assert "unknown mixture type" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["learned-ffn", "learned-rnn"])
     def test_checkpoint_of_another_kind_exits_2(
             self, name, checkpoints, tmp_path, monkeypatch, capsys):
@@ -445,6 +459,25 @@ class TestMetricsCommand:
         code = invoke(monkeypatch, tmp_path, "metrics", config)
         assert code == 2
         assert "not a trajectory CSV" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("path_id,t,x1\n0,0,1\n0,1,2\n1,0,3\n", "ragged path lengths"),
+        ("path_id,t,u1\n0,0,1\n0,1,2\n", "not a trajectory CSV"),
+        ("path_id,t,x1,x2\n0,0,1,2\n0,1,oops,4\n", "cannot read trajectory file"),
+        ("path_id,t,x1\n", "no trajectory rows"),
+    ], ids=["ragged", "no-state-columns", "non-numeric", "no-rows"])
+    def test_malformed_trajectory_exits_2(
+            self, tmp_path, monkeypatch, capsys, text, message):
+        rogue = tmp_path / "rogue.csv"
+        rogue.write_text(text)
+        config = {"n_steps": 50, "left": str(rogue)}
+        assert invoke(monkeypatch, tmp_path, "metrics", config) == 2
+        assert message in capsys.readouterr().err
+
+    def test_missing_trajectory_file_exits_2(self, tmp_path, monkeypatch, capsys):
+        config = {"n_steps": 50, "left": str(tmp_path / "absent.csv")}
+        assert invoke(monkeypatch, tmp_path, "metrics", config) == 2
+        assert "cannot read trajectory file" in capsys.readouterr().err
 
 
 class TestOutputDirectoryPrecedence:

@@ -8,7 +8,6 @@ from avgflow import (
     GaussianMixture,
     NearTerminalSingularityError,
     PosteriorContext,
-    advance_mean_r,
     advance_volterra,
     bridge_ensemble,
     deterministic_control,
@@ -18,13 +17,38 @@ from avgflow import (
     posterior_mean,
     posterior_mean_batch,
     product_pairs,
-    recompute_mean_r,
     ring_mixture,
     sample,
     sample_brownian_path,
     single_gaussian,
     volterra_noise_terms,
 )
+
+
+def recompute_mean_r(table, d_hist, t_index, epsilon):
+    """Direct-sum oracle for the memory term of the observation model,
+
+        -sqrt(eps) * dt * sum_{k<=j} Phi(t_j,t_k) Phi(t_f,t_k)^T D(t_k),
+
+    at O(j) products per call; the library reads the same quantity off
+    ``-sqrt(eps) * volterra_noise_terms(...)["memory"][j]``.
+    ``d_hist`` may be (n+1, d) for one path or (paths, n+1, d).
+    """
+    n = table.n_steps
+    d_hist = np.asarray(d_hist, dtype=float)
+    squeeze = d_hist.ndim == 2
+    if squeeze:
+        d_hist = d_hist[None]
+    j = t_index
+    if j == 0:
+        out = np.zeros((d_hist.shape[0], table.dim_state))
+    else:
+        phi = table.phi_lag
+        v = np.einsum("kab,pka->pkb", phi[n - j : n + 1][::-1], d_hist[:, : j + 1])
+        out = -np.sqrt(epsilon) * table.grid.dt * np.einsum(
+            "kab,pkb->pa", phi[: j + 1][::-1], v
+        )
+    return out[0] if squeeze else out
 
 
 def two_point_mixture(separation=0.4, sigma2=0.02):
@@ -275,20 +299,27 @@ class TestMemoryTerm:
         j = 60
         for k in range(j):
             advance_volterra(state, ou2d_table, k, noise.increments[k])
-        mu = single_gaussian([1.0, 0.0], 0.01 * np.eye(2))
-        ctx = PosteriorContext(mu, mu, 0.5)
-        advance_mean_r(ctx, ou2d_table, state, j)
         terms = volterra_noise_terms(ou2d_table, noise.increments)
         np.testing.assert_allclose(
-            ctx.mean_r,
+            recompute_mean_r(ou2d_table, state.d_hist, j, 0.5),
             recompute_mean_r(ou2d_table, terms["d_hist"], j, 0.5),
             atol=1e-12,
         )
 
-    def test_out_of_range_index_rejected(self, ou2d_table):
-        d_hist = np.zeros((ou2d_table.n_steps + 1, 2))
-        with pytest.raises(ValueError, match="out of range"):
-            recompute_mean_r(ou2d_table, d_hist, ou2d_table.n_steps + 1, 0.5)
+    def test_vectorized_memory_matches_direct_sum(self, ou2d_table):
+        # The sequential posterior driver reads the memory term off the
+        # vectorized convolution; the direct sum agrees at every index.
+        rng = np.random.Generator(np.random.Philox(key=[55, 0]))
+        dw = rng.normal(scale=np.sqrt(ou2d_table.grid.dt),
+                        size=(3, ou2d_table.n_steps, 2))
+        terms = volterra_noise_terms(ou2d_table, dw)
+        eps = 0.5
+        for j in range(ou2d_table.n_steps + 1):
+            np.testing.assert_allclose(
+                -np.sqrt(eps) * terms["memory"][:, j],
+                recompute_mean_r(ou2d_table, terms["d_hist"], j, eps),
+                rtol=0, atol=1e-13, err_msg=f"index {j}",
+            )
 
 
 class TestPosteriorControl:
@@ -351,10 +382,10 @@ class TestPosteriorMartingale:
                 for p in range(n_paths)
             ]
         )
-        d_hist = volterra_noise_terms(ou2d_table, dw)["d_hist"]
+        memory = volterra_noise_terms(ou2d_table, dw)["memory"]
         ctx = PosteriorContext(mu0, muf, eps)
         for j in (50, 100, 150):
-            mean_r = recompute_mean_r(ou2d_table, d_hist, j, eps)
+            mean_r = -np.sqrt(eps) * memory[:, j]
             post = posterior_mean_batch(ctx, ou2d_table, j, ens.states[:, j], mean_r)
             gap = np.abs(post.mean(axis=0) - muf.mean)
             se = post.std(axis=0, ddof=1) / np.sqrt(n_paths)

@@ -327,7 +327,8 @@ class TestSequentialDriver:
         class Fragile:
             tag = "fragile"
 
-            def control_step(self, table, t_index, states, x0s, d_hist, epsilon):
+            def control_step(self, table, t_index, states, x0s, d_hist, epsilon,
+                             mean_r):
                 if t_index == 3:
                     raise RuntimeError("boom")
                 return np.zeros_like(states)
