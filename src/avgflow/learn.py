@@ -129,26 +129,42 @@ class FeedforwardModel:
         return (x - self.input_mean) / self.input_std
 
     def forward(self, x):
-        """Plain prediction, chunked so large grids do not blow up memory."""
+        """Plain prediction in chunks of ``_EVAL_CHUNK`` rows.
+
+        Every chunk reuses one activation buffer per hidden layer, so large
+        grids neither blow up memory nor fault in fresh pages per chunk.
+        """
         x = np.atleast_2d(np.asarray(x, float))
-        outs = []
+        out = np.empty((x.shape[0], self.sizes[-1]))
+        rows = min(x.shape[0], _EVAL_CHUNK)
+        buffers = [np.empty((rows, n)) for n in self.sizes[1:-1]]
         for lo in range(0, x.shape[0], _EVAL_CHUNK):
             z = self._normalize(x[lo : lo + _EVAL_CHUNK])
-            for w, b in zip(self.weights[:-1], self.biases[:-1]):
-                z = np.tanh(z @ w + b)
-            outs.append(z @ self.weights[-1] + self.biases[-1])
-        return np.concatenate(outs, axis=0)
+            n = z.shape[0]
+            for w, b, buf in zip(self.weights[:-1], self.biases[:-1], buffers):
+                z = _tanh_layer(z, w, b, buf[:n])
+            np.matmul(z, self.weights[-1], out=out[lo : lo + n])
+            out[lo : lo + n] += self.biases[-1]
+        return out
 
     __call__ = forward
+
+
+def _tanh_layer(z, w, b, out=None):
+    """tanh(z @ w + b), with the bias and the activation applied in place."""
+    a = np.matmul(z, w, out=out)
+    a += b
+    return np.tanh(a, out=a)
 
 
 def _mlp_forward_cached(model, x):
     z = model._normalize(x)
     hiddens = [z]
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        z = np.tanh(z @ w + b)
+        z = _tanh_layer(z, w, b)
         hiddens.append(z)
-    out = z @ model.weights[-1] + model.biases[-1]
+    out = z @ model.weights[-1]
+    out += model.biases[-1]
     return out, hiddens
 
 
@@ -157,7 +173,8 @@ def mlp_loss_and_grads(model, inputs, targets):
     out, hiddens = _mlp_forward_cached(model, inputs)
     diff = out - targets
     loss = float(np.mean(diff * diff))
-    dout = (2.0 / diff.size) * diff
+    dout = diff
+    dout *= 2.0 / diff.size
     n_layers = len(model.weights)
     grads_w = [None] * n_layers
     grads_b = [None] * n_layers
@@ -165,8 +182,12 @@ def mlp_loss_and_grads(model, inputs, targets):
     grads_b[-1] = dout.sum(axis=0)
     dz = dout @ model.weights[-1].T
     for layer in range(n_layers - 2, -1, -1):
-        h = hiddens[layer + 1]
-        da = dz * (1.0 - h * h)
+        # The activations of this layer are dead after this point, so the
+        # tanh derivative 1 - h^2 overwrites them.
+        da = hiddens[layer + 1]
+        da *= da
+        np.subtract(1.0, da, out=da)
+        da *= dz
         grads_w[layer] = hiddens[layer].T @ da
         grads_b[layer] = da.sum(axis=0)
         if layer:
@@ -401,11 +422,12 @@ def sequence_dataset(x0s, noise, controls, times):
 
 
 def _eval_mlp_loss(model, inputs, targets):
+    diff = model.forward(inputs)
+    diff -= targets
+    diff *= diff
     total = 0.0
     for lo in range(0, inputs.shape[0], _EVAL_CHUNK):
-        out = model.forward(inputs[lo : lo + _EVAL_CHUNK])
-        d = out - targets[lo : lo + _EVAL_CHUNK]
-        total += float(np.sum(d * d))
+        total += float(np.sum(diff[lo : lo + _EVAL_CHUNK]))
     return total / targets.size
 
 

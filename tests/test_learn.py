@@ -324,6 +324,59 @@ class TestGradients:
         ) <= 1e-4
 
 
+def reference_mlp(model, x, targets):
+    """The plain MLP pass and its reverse sweep, one fresh array per step."""
+    z = (x - model.input_mean) / model.input_std
+    hiddens = [z]
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        z = np.tanh(z @ w + b)
+        hiddens.append(z)
+    out = z @ model.weights[-1] + model.biases[-1]
+    diff = out - targets
+    dz = ((2.0 / diff.size) * diff) @ model.weights[-1].T
+    grads = [hiddens[-1].T @ ((2.0 / diff.size) * diff), ((2.0 / diff.size) * diff).sum(axis=0)]
+    for layer in range(len(model.weights) - 2, -1, -1):
+        h = hiddens[layer + 1]
+        da = dz * (1.0 - h * h)
+        grads[:0] = [hiddens[layer].T @ da, da.sum(axis=0)]
+        dz = da @ model.weights[layer].T
+    return out, float(np.mean(diff * diff)), grads
+
+
+class TestInPlacePasses:
+    """The in-place forward and reverse passes compute bit for bit what the
+    plain formulas compute."""
+
+    def test_forward_matches_plain_pass_across_chunks(self):
+        from avgflow.learn import _EVAL_CHUNK
+
+        rng = np.random.Generator(np.random.Philox(key=[84, 0]))
+        model = FeedforwardModel(
+            (3, 16, 16, 2), seed=5,
+            input_mean=rng.normal(size=3), input_std=rng.uniform(0.5, 2.0, size=3),
+        )
+        model.biases = [rng.normal(size=b.shape) for b in model.biases]
+        x = rng.normal(size=(_EVAL_CHUNK + 100, 3))
+        expected = np.concatenate([
+            reference_mlp(model, x[lo : lo + _EVAL_CHUNK], 0.0)[0]
+            for lo in range(0, x.shape[0], _EVAL_CHUNK)
+        ])
+        np.testing.assert_array_equal(model.forward(x), expected)
+        np.testing.assert_array_equal(model.forward(x[:7]), reference_mlp(model, x[:7], 0.0)[0])
+
+    def test_loss_and_grads_match_plain_sweep(self):
+        rng = np.random.Generator(np.random.Philox(key=[85, 0]))
+        model = FeedforwardModel((3, 16, 16, 2), seed=6)
+        model.biases = [rng.normal(size=b.shape) for b in model.biases]
+        x = rng.normal(size=(300, 3))
+        y = rng.normal(size=(300, 2))
+        _, loss, grads = reference_mlp(model, x, y)
+        got_loss, got_grads = mlp_loss_and_grads(model, x, y)
+        assert got_loss == loss
+        for got, want in zip(got_grads, grads):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestCheckpoints:
     def test_feedforward_roundtrip(self, tmp_path):
         model = FeedforwardModel(

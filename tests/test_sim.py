@@ -379,6 +379,38 @@ class TestLawComparison:
         observed, null = energy_distance_null(a, a.copy(), seed=17)
         assert observed <= np.quantile(null, 0.95)
 
+    @pytest.mark.parametrize("max_pooled", [6000, 50])
+    def test_null_matches_direct_submatrix_sums(self, max_pooled):
+        """The blocked matrix-product null equals the per-permutation sums
+        over the pooled distance matrix, across a block boundary and after
+        subsampling."""
+        from scipy.spatial.distance import cdist
+
+        rng = np.random.default_rng(np.random.Philox(key=[4, 5150]))
+        a = rng.standard_normal((40, 2))
+        b = rng.standard_normal((30, 2)) + np.array([0.3, 0.0])
+        observed, null = energy_distance_null(
+            a, b, n_permutations=300, seed=5, max_pooled=max_pooled
+        )
+        assert observed == energy_distance(a, b)
+
+        rng = np.random.Generator(np.random.Philox(key=np.array([5, 914], dtype=np.uint64)))
+        if a.shape[0] + b.shape[0] > max_pooled:
+            keep_a = int(round(max_pooled * a.shape[0] / (a.shape[0] + b.shape[0])))
+            a = a[rng.choice(a.shape[0], size=keep_a, replace=False)]
+            b = b[rng.choice(b.shape[0], size=max_pooled - keep_a, replace=False)]
+        na, nb = a.shape[0], b.shape[0]
+        dist = cdist(np.concatenate([a, b]), np.concatenate([a, b]))
+        expected = np.empty(300)
+        for r in range(300):
+            idx = rng.permutation(na + nb)
+            ia, ib = idx[:na], idx[na:]
+            s_a = dist[np.ix_(ia, ia)].sum()
+            s_b = dist[np.ix_(ib, ib)].sum()
+            s_ab = dist[np.ix_(ia, ib)].sum()
+            expected[r] = 2.0 * s_ab / (na * nb) - s_a / na**2 - s_b / nb**2
+        np.testing.assert_allclose(null, np.maximum(expected, 0.0), rtol=1e-12, atol=1e-15)
+
     def test_energy_distance_basics(self):
         rng = np.random.default_rng(np.random.Philox(key=[2, 5150]))
         a = rng.standard_normal((300, 2))
