@@ -209,12 +209,17 @@ def _validate_config(cfg):
         _require(isinstance(e, (int, float)) and e >= 0,
                  "'epsilons' entries must be nonnegative numbers")
     cfg["epsilons"] = [float(e) for e in cfg["epsilons"]]
+    names = [f"trajectory_eps{e:g}.csv" for e in cfg["epsilons"]]
+    _require(len(set(names)) == len(names),
+             f"'epsilons' entries must name distinct files; they give {names}")
     _require(cfg["coupling"] in ("ot", "product"),
              "'coupling' must be 'ot' or 'product'")
     _require(cfg["controller"] in _CONTROLLERS,
              f"unknown controller {cfg['controller']!r}")
     if cfg["model"] is not None:
         _require(cfg["model"] in _MODEL_CONTROLLERS, f"unknown model kind {cfg['model']!r}")
+    _require(cfg["out_dir"] is None or isinstance(cfg["out_dir"], str),
+             "'out_dir' must be a path string")
     for key in ("x0", "xf"):
         _require(isinstance(cfg[key], list) and len(cfg[key]) >= 1
                  and all(isinstance(v, (int, float)) for v in cfg[key]),

@@ -40,9 +40,17 @@ def _uniform_fan_in(rng, fan_in, shape):
 class TrainConfig:
     """Hyperparameters shared by the three trainers.
 
-    ``late_learning_rate`` is the second leg of the piecewise schedule used by
-    the recurrent and gain trainers; ``None`` means one tenth of
-    ``learning_rate``.  The feedforward trainer keeps a flat rate.
+    Each trainer splits its epochs into equal legs of constant learning rate;
+    epoch ``e`` of ``epochs`` with ``L`` legs runs on leg ``(e * L - 1) //
+    epochs``.  The legs, with ``late`` the ``late_learning_rate``:
+
+    - feedforward: ``[learning_rate]``, or ``[learning_rate, late]`` when
+      ``late_learning_rate`` is set;
+    - recurrent: ``[learning_rate, late]``;
+    - gain: ``[learning_rate, late, late / 10]``.
+
+    For the recurrent and gain trainers an unset ``late_learning_rate`` means
+    one tenth of ``learning_rate``.
     """
 
     epochs: int = 40
@@ -116,6 +124,19 @@ class FeedforwardModel:
         din = sizes[0]
         self.input_mean = np.zeros(din) if input_mean is None else np.asarray(input_mean, float)
         self.input_std = np.ones(din) if input_std is None else np.asarray(input_std, float)
+
+    @classmethod
+    def from_spec(cls, spec):
+        return cls(spec["sizes"])
+
+    @property
+    def spec(self):
+        return {"sizes": list(self.sizes)}
+
+    @property
+    def arrays(self):
+        return {"weights": self.weights, "biases": self.biases,
+                "input_mean": self.input_mean, "input_std": self.input_std}
 
     @property
     def params(self):
@@ -226,6 +247,20 @@ class RecurrentModel:
         self.input_mean = np.zeros(din) if input_mean is None else np.asarray(input_mean, float)
         self.input_std = np.ones(din) if input_std is None else np.asarray(input_std, float)
 
+    @classmethod
+    def from_spec(cls, spec):
+        return cls(spec["input_size"], spec["hidden_size"], spec["output_size"])
+
+    @property
+    def spec(self):
+        return {"input_size": self.input_size, "hidden_size": self.hidden_size,
+                "output_size": self.output_size}
+
+    @property
+    def arrays(self):
+        weights = {"wx": self.wx, "wh": self.wh, "b": self.b, "wo": self.wo, "bo": self.bo}
+        return {"weights": weights, "input_mean": self.input_mean, "input_std": self.input_std}
+
     @property
     def params(self):
         return [self.wx, self.wh, self.b, self.wo, self.bo]
@@ -326,6 +361,19 @@ class GainModel:
             input_std=input_std,
         )
 
+    @classmethod
+    def from_spec(cls, spec):
+        m, d = spec["output_shape"]
+        return cls(m, d, hidden_size=spec["sizes"][1])
+
+    @property
+    def spec(self):
+        return {"sizes": list(self.net.sizes), "output_shape": [self.dim_control, self.dim_state]}
+
+    @property
+    def arrays(self):
+        return self.net.arrays
+
     @property
     def params(self):
         return self.net.params
@@ -377,12 +425,14 @@ def _normalization(x):
     return mean, std
 
 
-def _split(n, val_fraction, rng):
+def _split(data, val_fraction, rng):
+    """(train, val) row subsets of the arrays in ``data``; val is None when
+    the fraction rounds to no rows."""
+    n = data[0].shape[0]
     order = rng.permutation(n)
-    n_val = int(round(n * val_fraction))
-    if n_val >= n:
-        n_val = n - 1
-    return order[n_val:], order[:n_val]
+    n_val = min(int(round(n * val_fraction)), n - 1)
+    train = tuple(a[order[n_val:]] for a in data)
+    return train, (tuple(a[order[:n_val]] for a in data) if n_val else None)
 
 
 def flatten_endpoint_dataset(x0s, controls, times):
@@ -421,14 +471,46 @@ def sequence_dataset(x0s, noise, controls, times):
     return feats, controls[:, :t_count, :]
 
 
-def _eval_mlp_loss(model, inputs, targets):
-    diff = model.forward(inputs)
-    diff -= targets
-    diff *= diff
+def _eval_loss(model, inputs, targets, chunk):
+    """Mean squared error of ``model.forward``, run ``chunk`` rows at a time."""
     total = 0.0
-    for lo in range(0, inputs.shape[0], _EVAL_CHUNK):
-        total += float(np.sum(diff[lo : lo + _EVAL_CHUNK]))
+    for lo in range(0, inputs.shape[0], chunk):
+        diff = model.forward(inputs[lo : lo + chunk])
+        diff -= targets[lo : lo + chunk]
+        diff *= diff
+        total += float(np.sum(diff))
     return total / targets.size
+
+
+def _fit(model, loss_and_grads, train, val, rates, config, rng, eval_chunk):
+    """Minibatch Adam on mean squared error.  Returns the TrainReport.
+
+    ``train`` and ``val`` are (inputs, targets) pairs; without validation
+    rows (``val`` None) the validation trace repeats the training loss.  The
+    ``rates`` split the epochs into equal legs (see :class:`TrainConfig`).
+    """
+    x, y = train
+    epochs = config.epochs
+    opt = Adam(model.params, learning_rate=rates[0])
+    train_trace, val_trace, lr_trace = [], [], [rates[0]]
+
+    def record_losses():
+        train_trace.append(_eval_loss(model, x, y, eval_chunk))
+        val_trace.append(train_trace[-1] if val is None else _eval_loss(model, *val, eval_chunk))
+
+    record_losses()
+    for epoch in range(1, epochs + 1):
+        opt.learning_rate = rates[(epoch * len(rates) - 1) // epochs]
+        order = rng.permutation(x.shape[0])
+        for bidx, lo in enumerate(range(0, x.shape[0], config.batch_size)):
+            rows = order[lo : lo + config.batch_size]
+            loss, grads = loss_and_grads(model, x[rows], y[rows])
+            _check_finite(loss, epoch, bidx)
+            opt.step(model.params, grads)
+        record_losses()
+        lr_trace.append(opt.learning_rate)
+        _check_finite(train_trace[-1], epoch, -1)
+    return TrainReport(train_trace, val_trace, lr_trace, config.seed, epochs)
 
 
 def train_feedforward(inputs, targets, config):
@@ -444,39 +526,18 @@ def train_feedforward(inputs, targets, config):
     if inputs.shape[0] != targets.shape[0] or inputs.shape[0] == 0:
         raise ValueError("inputs and targets must be nonempty and aligned")
     rng = _rng(config.seed, stream=11)
-    train_idx, val_idx = _split(inputs.shape[0], config.val_fraction, rng)
-    if val_idx.size == 0:
-        val_idx = train_idx
-    x_tr, y_tr = inputs[train_idx], targets[train_idx]
-    x_va, y_va = inputs[val_idx], targets[val_idx]
-    mean, std = _normalization(x_tr)
+    train, val = _split((inputs, targets), config.val_fraction, rng)
+    mean, std = _normalization(train[0])
     model = FeedforwardModel(
         (inputs.shape[1], config.hidden_size, config.hidden_size, targets.shape[1]),
         seed=config.seed,
         input_mean=mean,
         input_std=std,
     )
-    opt = Adam(model.params, learning_rate=config.learning_rate)
-    train_trace = [_eval_mlp_loss(model, x_tr, y_tr)]
-    val_trace = [_eval_mlp_loss(model, x_va, y_va)]
-    lr_trace = [config.learning_rate]
-    n_tr = x_tr.shape[0]
-    switch = config.epochs // 2 if config.late_learning_rate is not None else None
-    for epoch in range(1, config.epochs + 1):
-        if switch is not None and epoch > switch:
-            opt.learning_rate = config.late_learning_rate
-        order = rng.permutation(n_tr)
-        for bidx, lo in enumerate(range(0, n_tr, config.batch_size)):
-            rows = order[lo : lo + config.batch_size]
-            loss, grads = mlp_loss_and_grads(model, x_tr[rows], y_tr[rows])
-            _check_finite(loss, epoch, bidx)
-            opt.step(model.params, grads)
-        train_trace.append(_eval_mlp_loss(model, x_tr, y_tr))
-        val_trace.append(_eval_mlp_loss(model, x_va, y_va))
-        lr_trace.append(opt.learning_rate)
-        _check_finite(train_trace[-1], epoch, -1)
-    report = TrainReport(train_trace, val_trace, lr_trace, config.seed, config.epochs)
-    return model, report
+    rates = [config.learning_rate]
+    if config.late_learning_rate is not None:
+        rates.append(config.late_learning_rate)
+    return model, _fit(model, mlp_loss_and_grads, train, val, rates, config, rng, _EVAL_CHUNK)
 
 
 def train_recurrent(features, targets, config):
@@ -492,16 +553,9 @@ def train_recurrent(features, targets, config):
         raise ValueError("features and targets must be (paths, steps, dim) and aligned")
     if features.shape[0] == 0:
         raise ValueError("empty sequence dataset")
-    late_lr = config.late_learning_rate
-    if late_lr is None:
-        late_lr = config.learning_rate / 10.0
     rng = _rng(config.seed, stream=22)
-    train_idx, val_idx = _split(features.shape[0], config.val_fraction, rng)
-    if val_idx.size == 0:
-        val_idx = train_idx
-    f_tr, y_tr = features[train_idx], targets[train_idx]
-    f_va, y_va = features[val_idx], targets[val_idx]
-    mean, std = _normalization(f_tr.reshape(-1, f_tr.shape[2]))
+    train, val = _split((features, targets), config.val_fraction, rng)
+    mean, std = _normalization(train[0].reshape(-1, features.shape[2]))
     model = RecurrentModel(
         features.shape[2],
         config.hidden_size,
@@ -510,42 +564,18 @@ def train_recurrent(features, targets, config):
         input_mean=mean,
         input_std=std,
     )
-    opt = Adam(model.params, learning_rate=config.learning_rate)
-
-    def eval_loss(f, y):
-        total = 0.0
-        for lo in range(0, f.shape[0], config.batch_size):
-            out = model.forward(f[lo : lo + config.batch_size])
-            d = out - y[lo : lo + config.batch_size]
-            total += float(np.sum(d * d))
-        return total / y.size
-
-    train_trace = [eval_loss(f_tr, y_tr)]
-    val_trace = [eval_loss(f_va, y_va)]
-    lr_trace = [config.learning_rate]
-    n_tr = f_tr.shape[0]
-    for epoch in range(1, config.epochs + 1):
-        opt.learning_rate = config.learning_rate if epoch <= config.epochs / 2 else late_lr
-        order = rng.permutation(n_tr)
-        for bidx, lo in enumerate(range(0, n_tr, config.batch_size)):
-            rows = order[lo : lo + config.batch_size]
-            loss, grads = lstm_loss_and_grads(model, f_tr[rows], y_tr[rows])
-            _check_finite(loss, epoch, bidx)
-            opt.step(model.params, grads)
-        train_trace.append(eval_loss(f_tr, y_tr))
-        val_trace.append(eval_loss(f_va, y_va))
-        lr_trace.append(opt.learning_rate)
-        _check_finite(train_trace[-1], epoch, -1)
-    report = TrainReport(train_trace, val_trace, lr_trace, config.seed, config.epochs)
-    return model, report
+    late = config.late_learning_rate or config.learning_rate / 10.0
+    rates = [config.learning_rate, late]
+    return model, _fit(model, lstm_loss_and_grads, train, val, rates, config, rng,
+                       config.batch_size)
 
 
 def train_gain(table, config):
     """Regress the kernel-table gain trace K(t) as a function of t alone.
 
-    Full-batch Adam with a three-stage learning-rate decay; the target grid is
-    the kernel table's own, so success is measured by the sup gap against
-    ``table.k_gain``.
+    Adam with a three-stage learning-rate decay; the target grid is the
+    kernel table's own and has no validation rows, so success is measured by
+    the sup gap against ``table.k_gain``.
     """
     times = table.grid.times.reshape(-1, 1)
     m, d = table.dim_control, table.dim_state
@@ -554,125 +584,77 @@ def train_gain(table, config):
     mean, std = _normalization(times)
     model = GainModel(m, d, hidden_size=config.hidden_size, seed=config.seed,
                       input_mean=mean, input_std=std)
-    opt = Adam(model.params, learning_rate=config.learning_rate)
-    n = times.shape[0]
-    batch = min(config.batch_size, n)
-    train_trace = [_eval_mlp_loss(model.net, times, targets)]
-    val_trace = [train_trace[0]]
-    lr_trace = [config.learning_rate]
-    late_lr = config.late_learning_rate
-    if late_lr is None:
-        late_lr = config.learning_rate / 10.0
-    for epoch in range(1, config.epochs + 1):
-        if epoch <= config.epochs / 3:
-            opt.learning_rate = config.learning_rate
-        elif epoch <= 2 * config.epochs / 3:
-            opt.learning_rate = late_lr
-        else:
-            opt.learning_rate = late_lr / 10.0
-        order = rng.permutation(n)
-        for bidx, lo in enumerate(range(0, n, batch)):
-            rows = order[lo : lo + batch]
-            loss, grads = mlp_loss_and_grads(model.net, times[rows], targets[rows])
-            _check_finite(loss, epoch, bidx)
-            opt.step(model.net.params, grads)
-        train_trace.append(_eval_mlp_loss(model.net, times, targets))
-        val_trace.append(train_trace[-1])
-        lr_trace.append(opt.learning_rate)
-        _check_finite(train_trace[-1], epoch, -1)
-    report = TrainReport(train_trace, val_trace, lr_trace, config.seed, config.epochs)
+    late = config.late_learning_rate or config.learning_rate / 10.0
+    rates = [config.learning_rate, late, late / 10.0]
+    report = _fit(model.net, mlp_loss_and_grads, (times, targets), None, rates, config, rng,
+                  _EVAL_CHUNK)
     return model, report
 
 
+_MODELS = {cls.kind: cls for cls in (FeedforwardModel, RecurrentModel, GainModel)}
+
+
 def save_model(model, path):
-    """Write a versioned JSON checkpoint, normalization constants included."""
+    """Write a versioned JSON checkpoint, normalization constants included.
+
+    The payload is the header, then the model's ``spec`` (the shape fields
+    its ``from_spec`` rebuilds it from), then its named ``arrays``.
+    """
+    if model.kind not in _MODELS:
+        raise ValueError(f"unknown model kind {model.kind!r}")
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "kind": model.kind,
         "activation": "tanh",
+        **model.spec,
+        **model.arrays,
     }
-    if model.kind == "feedforward":
-        payload.update(
-            sizes=list(model.sizes),
-            weights=[w.tolist() for w in model.weights],
-            biases=[b.tolist() for b in model.biases],
-            input_mean=model.input_mean.tolist(),
-            input_std=model.input_std.tolist(),
-        )
-    elif model.kind == "recurrent":
-        payload.update(
-            input_size=model.input_size,
-            hidden_size=model.hidden_size,
-            output_size=model.output_size,
-            weights={
-                "wx": model.wx.tolist(),
-                "wh": model.wh.tolist(),
-                "b": model.b.tolist(),
-                "wo": model.wo.tolist(),
-                "bo": model.bo.tolist(),
-            },
-            input_mean=model.input_mean.tolist(),
-            input_std=model.input_std.tolist(),
-        )
-    elif model.kind == "gain":
-        net = model.net
-        payload.update(
-            sizes=list(net.sizes),
-            output_shape=[model.dim_control, model.dim_state],
-            weights=[w.tolist() for w in net.weights],
-            biases=[b.tolist() for b in net.biases],
-            input_mean=net.input_mean.tolist(),
-            input_std=net.input_std.tolist(),
-        )
-    else:
-        raise ValueError(f"unknown model kind {model.kind!r}")
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload, default=np.ndarray.tolist))
+
+
+def _copy_arrays(fresh, saved, name):
+    """Copy the JSON lists ``saved`` into the arrays ``fresh`` in place."""
+    if isinstance(fresh, np.ndarray):
+        values = np.asarray(saved, dtype=float)
+        if values.shape != fresh.shape:
+            raise ValueError(f"{name!r} has shape {values.shape}, expected {fresh.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name!r} holds non-finite values")
+        fresh[...] = values
+    elif isinstance(fresh, dict):
+        for key, value in fresh.items():
+            _copy_arrays(value, saved[key], f"{name}.{key}" if name else key)
+    else:
+        if not isinstance(saved, list) or len(saved) != len(fresh):
+            raise ValueError(f"{name!r} must be a list of {len(fresh)} arrays")
+        for i, (value, entry) in enumerate(zip(fresh, saved)):
+            _copy_arrays(value, entry, f"{name}[{i}]")
 
 
 def load_model(path):
+    """Read a :func:`save_model` checkpoint.  Any fault in the file raises
+    ConfigError: unreadable, foreign, another version, an unknown kind, a
+    missing field, a misshapen array or a non-numeric or non-finite cell."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read model checkpoint {path}: {exc}") from exc
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"{path} is not a model checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {payload.get('version')!r}")
     kind = payload.get("kind")
-    if kind == "feedforward":
-        model = FeedforwardModel(
-            payload["sizes"],
-            input_mean=payload["input_mean"],
-            input_std=payload["input_std"],
-        )
-        model.weights = [np.asarray(w, float) for w in payload["weights"]]
-        model.biases = [np.asarray(b, float) for b in payload["biases"]]
-        return model
-    if kind == "recurrent":
-        model = RecurrentModel(
-            payload["input_size"],
-            payload["hidden_size"],
-            payload["output_size"],
-            input_mean=payload["input_mean"],
-            input_std=payload["input_std"],
-        )
-        w = payload["weights"]
-        model.wx = np.asarray(w["wx"], float)
-        model.wh = np.asarray(w["wh"], float)
-        model.b = np.asarray(w["b"], float)
-        model.wo = np.asarray(w["wo"], float)
-        model.bo = np.asarray(w["bo"], float)
-        return model
-    if kind == "gain":
-        m, d = payload["output_shape"]
-        model = GainModel(m, d, hidden_size=payload["sizes"][1],
-                          input_mean=payload["input_mean"], input_std=payload["input_std"])
-        model.net.sizes = tuple(payload["sizes"])
-        model.net.weights = [np.asarray(w, float) for w in payload["weights"]]
-        model.net.biases = [np.asarray(b, float) for b in payload["biases"]]
-        return model
-    raise ConfigError(f"unknown model kind {kind!r} in {path}")
+    if not isinstance(kind, str) or kind not in _MODELS:
+        raise ConfigError(f"unknown model kind {kind!r} in {path}")
+    try:
+        model = _MODELS[kind].from_spec(payload)
+        _copy_arrays(model.arrays, payload, "")
+    except KeyError as exc:
+        raise ConfigError(f"model checkpoint {path} lacks the field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed model checkpoint {path}: {exc}") from exc
+    return model

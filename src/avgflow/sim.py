@@ -142,24 +142,18 @@ class FeedforwardController:
         return out.reshape(paths, t_count, -1)
 
 
-class GainController:
+class GainController(DeterministicExactController):
     """Learned gain trace applied to the exact steering residual."""
 
     tag = "gain-model"
 
     def __init__(self, model, targets):
+        super().__init__(targets)
         self.model = model
-        self.targets = np.atleast_2d(np.asarray(targets, dtype=float))
 
     def open_loop(self, table, x0s):
-        targets = self.targets
-        if targets.shape[0] == 1 and x0s.shape[0] > 1:
-            targets = np.broadcast_to(targets, x0s.shape)
-        if targets.shape != x0s.shape:
-            raise ValueError("targets and x0s must pair up one to one")
-        residual = targets - x0s @ table.m_avg[table.n_steps].T
         gains = self.model.gain_trace(table.grid.times)
-        return np.einsum("jab,pb->pja", gains, residual)
+        return np.einsum("jab,pb->pja", gains, self._residual(table, x0s))
 
 
 class RecurrentController:

@@ -167,6 +167,14 @@ class TestBridgeCommand:
         terminal = read_terminals(run_dir / "trajectory_eps0.csv")
         np.testing.assert_allclose(terminal, [[2.0, 1.0]], atol=1e-6)
 
+    def test_epsilons_sharing_a_file_name_exit_2(self, tmp_path, monkeypatch, capsys):
+        # 0.50000001 prints as 0.5 under :g, so all three would write one file.
+        config = dict(self.CONFIG, epsilons=[0.5, 0.5, 0.50000001])
+        assert invoke(monkeypatch, tmp_path, "bridge", config) == 2
+        assert "distinct files" in capsys.readouterr().err
+        assert not run_dirs(tmp_path, "bridge")
+        assert json.loads((tmp_path / "error.json").read_text())["exit_code"] == 2
+
     def test_wrong_endpoint_dimension_exits_2(self, tmp_path, monkeypatch, capsys):
         config = dict(self.CONFIG, x0=[1.0, 0.0, 0.0], xf=[1.0, 1.0, 1.0])
         code = invoke(monkeypatch, tmp_path, "bridge", config)
@@ -397,6 +405,24 @@ class TestControllerRegistry:
         assert invoke(monkeypatch, tmp_path, "simulate", config) == 2
         assert "gain model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault, message", [
+        ("no-sizes", "lacks the field 'sizes'"),
+        ("misshapen-weight", "has shape"),
+    ])
+    def test_malformed_checkpoint_exits_2(
+            self, fault, message, checkpoints, tmp_path, monkeypatch, capsys):
+        with open(checkpoints["feedforward"]) as fh:
+            payload = json.load(fh)
+        if fault == "no-sizes":
+            del payload["sizes"]
+        else:
+            payload["weights"][0] = [[0.5]]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(payload))
+        config = dict(self.BASE, controller="learned-ffn", checkpoint=str(broken))
+        assert invoke(monkeypatch, tmp_path / "s", "simulate", config) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestMetricsCommand:
     @pytest.fixture()
@@ -488,6 +514,15 @@ class TestOutputDirectoryPrecedence:
         cfg_path.write_text(json.dumps({"n_steps": 50, "out_dir": str(target)}))
         assert main(["kernel", "--config", str(cfg_path)]) == 0
         assert run_dirs(target, "kernel")
+
+    def test_non_string_out_dir_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("AVGFLOW_OUT", raising=False)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_text(json.dumps({"n_steps": 50, "out_dir": 5}))
+        assert main(["kernel", "--config", "config.json"]) == 2
+        assert "'out_dir'" in capsys.readouterr().err
+        record = json.loads((tmp_path / "runs" / "error.json").read_text())
+        assert record["exit_code"] == 2 and record["error"] == "ConfigError"
 
     def test_env_overrides_config_out_dir(self, tmp_path, monkeypatch):
         env_target = tmp_path / "from-env"

@@ -283,6 +283,50 @@ class TestGain:
         assert model.gain_trace(np.array([0.0, 0.5])).shape == (2, 2, 2)
 
 
+class TestSchedules:
+    """``report.learning_rates`` follows the legs documented on TrainConfig:
+    halves for the feedforward (when a late rate is set) and recurrent
+    trainers, thirds for the gain trainer."""
+
+    HALVES = {5: [0, 0, 0, 1, 1, 1], 7: [0, 0, 0, 0, 1, 1, 1, 1]}
+    THIRDS = {5: [0, 0, 1, 1, 2, 2], 7: [0, 0, 0, 1, 1, 2, 2, 2]}
+
+    @staticmethod
+    def config(epochs, late):
+        return TrainConfig(epochs=epochs, batch_size=8, hidden_size=4,
+                           learning_rate=1e-2, late_learning_rate=late, seed=3)
+
+    @pytest.mark.parametrize("epochs", [5, 7])
+    @pytest.mark.parametrize("late", [None, 3e-3])
+    def test_feedforward(self, epochs, late):
+        rng = np.random.default_rng(0)
+        _, report = train_feedforward(
+            rng.normal(size=(20, 3)), rng.normal(size=(20, 2)), self.config(epochs, late)
+        )
+        if late is None:
+            assert report.learning_rates == [1e-2] * (epochs + 1)
+        else:
+            assert report.learning_rates == [[1e-2, late][i] for i in self.HALVES[epochs]]
+
+    @pytest.mark.parametrize("epochs", [5, 7])
+    @pytest.mark.parametrize("late", [None, 3e-3])
+    def test_recurrent(self, epochs, late):
+        rng = np.random.default_rng(1)
+        _, report = train_recurrent(
+            rng.normal(size=(6, 3, 2)), rng.normal(size=(6, 3, 1)), self.config(epochs, late)
+        )
+        legs = [1e-2, 1e-2 / 10.0 if late is None else late]
+        assert report.learning_rates == [legs[i] for i in self.HALVES[epochs]]
+
+    @pytest.mark.parametrize("epochs", [5, 7])
+    @pytest.mark.parametrize("late", [None, 3e-3])
+    def test_gain(self, epochs, late, const_table):
+        _, report = train_gain(const_table, self.config(epochs, late))
+        second = 1e-2 / 10.0 if late is None else late
+        legs = [1e-2, second, second / 10.0]
+        assert report.learning_rates == [legs[i] for i in self.THIRDS[epochs]]
+
+
 def finite_difference_worst_error(model, loss_fn, args, key, n_per_layer=5):
     """Max relative gap between analytic and central-difference gradients."""
     rng = np.random.Generator(np.random.Philox(key=[key, 0]))
@@ -407,6 +451,76 @@ class TestCheckpoints:
         np.testing.assert_array_equal(
             loaded.gain_trace(times), model.gain_trace(times)
         )
+
+    # Checkpoint format v1, byte for byte: header, shape fields, then arrays,
+    # in this key order.
+    V1 = {
+        "feedforward": (
+            '{"format": "avgflow-model", "version": 1, "kind": "feedforward", '
+            '"activation": "tanh", "sizes": [1, 2, 1], '
+            '"weights": [[[0.5, -0.25]], [[0.5], [-0.25]]], '
+            '"biases": [[0.0, 0.125], [-1.0]], "input_mean": [0.5], "input_std": [2.0]}'
+        ),
+        "recurrent": (
+            '{"format": "avgflow-model", "version": 1, "kind": "recurrent", '
+            '"activation": "tanh", "input_size": 1, "hidden_size": 1, "output_size": 1, '
+            '"weights": {"wx": [[0.5, -0.25, 0.5, -0.25]], "wh": [[-0.25, 0.5, -0.25, 0.5]], '
+            '"b": [0.0, 1.0, 0.0, 0.0], "wo": [[0.5]], "bo": [-0.25]}, '
+            '"input_mean": [0.25], "input_std": [1.0]}'
+        ),
+        "gain": (
+            '{"format": "avgflow-model", "version": 1, "kind": "gain", '
+            '"activation": "tanh", "sizes": [1, 1, 1, 1], "output_shape": [1, 1], '
+            '"weights": [[[0.5]], [[-0.25]], [[0.5]]], '
+            '"biases": [[0.0], [0.125], [-0.25]], "input_mean": [0.5], "input_std": [0.25]}'
+        ),
+    }
+
+    @staticmethod
+    def tiny_model(kind):
+        if kind == "feedforward":
+            model = FeedforwardModel((1, 2, 1), input_mean=[0.5], input_std=[2.0])
+            model.weights = [np.array([[0.5, -0.25]]), np.array([[0.5], [-0.25]])]
+            model.biases = [np.array([0.0, 0.125]), np.array([-1.0])]
+        elif kind == "recurrent":
+            model = RecurrentModel(1, 1, 1, input_mean=[0.25], input_std=[1.0])
+            model.wx = np.array([[0.5, -0.25, 0.5, -0.25]])
+            model.wh = np.array([[-0.25, 0.5, -0.25, 0.5]])
+            model.b = np.array([0.0, 1.0, 0.0, 0.0])
+            model.wo = np.array([[0.5]])
+            model.bo = np.array([-0.25])
+        else:
+            model = GainModel(1, 1, hidden_size=1, input_mean=[0.5], input_std=[0.25])
+            model.net.weights = [np.array([[0.5]]), np.array([[-0.25]]), np.array([[0.5]])]
+            model.net.biases = [np.array([0.0]), np.array([0.125]), np.array([-0.25])]
+        return model
+
+    @pytest.mark.parametrize("kind", ["feedforward", "recurrent", "gain"])
+    def test_format_v1_bytes(self, kind, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(self.tiny_model(kind), str(path))
+        assert path.read_text() == self.V1[kind]
+        again = tmp_path / "again.json"
+        save_model(load_model(str(path)), str(again))
+        assert again.read_text() == self.V1[kind]
+
+    @pytest.mark.parametrize("kind, old, new, message", [
+        ("feedforward", '"sizes": [1, 2, 1], ', "", "lacks the field 'sizes'"),
+        ("feedforward", "[[[0.5, -0.25]]", "[[[0.5, -0.25, 0.5]]",
+         r"'weights\[0\]' has shape \(1, 3\), expected \(1, 2\)"),
+        ("feedforward", "[[0.5], [-0.25]]", '[["oops"], [-0.25]]', "could not convert"),
+        ("feedforward", "[[0.0, 0.125], [-1.0]]", "[[0.0, 0.125]]",
+         "'biases' must be a list of 2 arrays"),
+        ("feedforward", '"input_std": [2.0]', '"input_std": [null]', "non-finite"),
+        ("recurrent", '"wh": [[-0.25, 0.5, -0.25, 0.5]], ', "", "lacks the field 'wh'"),
+    ], ids=["no-sizes", "misshapen-weight", "non-numeric-cell", "short-list", "null-cell",
+            "no-gate-matrix"])
+    def test_malformed_checkpoint_rejected(self, kind, old, new, message, tmp_path):
+        assert old in self.V1[kind]
+        path = tmp_path / "model.json"
+        path.write_text(self.V1[kind].replace(old, new))
+        with pytest.raises(ConfigError, match=message):
+            load_model(str(path))
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
