@@ -12,20 +12,11 @@ laws to teacher data (``learn``), and rolls out and evaluates the closed loop
 
 from .bridge import (
     BridgeEnsemble,
-    BridgePath,
-    BrownianPath,
     EndpointPair,
-    VolterraState,
-    advance_volterra,
     bridge_ensemble,
-    deterministic_control,
-    deterministic_trajectory,
     export_trajectory_csv,
-    init_volterra_state,
-    sample_brownian_path,
-    volterra_control,
+    sample_increments,
     volterra_noise_terms,
-    volterra_trajectory,
 )
 from .coupling import (
     CouplingPlan,
@@ -40,9 +31,7 @@ from .distributions import (
     PosteriorContext,
     SamplePairSet,
     point_mass,
-    posterior_control,
     posterior_mean,
-    posterior_mean_batch,
     product_pairs,
     ring_mixture,
     sample,
@@ -51,7 +40,6 @@ from .distributions import (
 from .errors import (
     ConfigError,
     DegeneratePosteriorError,
-    NearTerminalSingularityError,
     NotAveragedControllableError,
     TrainingDivergenceError,
 )
@@ -64,8 +52,6 @@ from .kernel import (
     causal_convolve,
     export_kernel_csv,
     load_theta_table,
-    matrix_exponential,
-    solve_gramian,
 )
 from .learn import (
     Adam,

@@ -24,8 +24,14 @@ continuous ones:
 * the time integral of the memory term uses right-endpoint evaluation, which
   makes the discrete bridge agree exactly with the discretized closed-form
   solution (and pin exactly for constant families);
-* Brownian increments come from one counter-based stream per path index, so
-  ensembles are reproducible and order-independent.
+* Brownian increments come from one sampler, :func:`sample_increments`,
+  which draws path p from its own counter-based stream keyed by (seed, p),
+  so ensembles are reproducible and independent of order and chunking.
+
+Every function works on whole ensembles.  :func:`bridge_ensemble` pins many
+(x0, xf) pairs at once, and at eps = 0 its paths are the deterministic
+steering paths; :func:`bridge_controls` assembles the control law that it and
+the volterra-exact rollout controller share.
 """
 
 from dataclasses import dataclass
@@ -33,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .errors import NearTerminalSingularityError
 from .kernel import causal_convolve
 
 
@@ -53,144 +58,19 @@ class EndpointPair:
             raise ValueError("endpoints must be finite")
 
 
-@dataclass
-class BrownianPath:
-    """Increments dW on a grid, drawn from a per-path counter-based stream."""
+def sample_increments(grid, m, seed, paths):
+    """(paths, n_steps, m) Brownian increments, path p from its own stream.
 
-    increments: np.ndarray  # (n_steps, m)
-    seed: int
-    path_id: int = 0
-
-
-@dataclass
-class BridgePath:
-    """States and controls of one steering trajectory on the grid.
-
-    ``states`` has n_steps + 1 rows.  ``controls`` too, but for eps > 0 the
-    final row is NaN: the Volterra control needs the inverse of a zero-width
-    Gramian at t_f and is only evaluated at indices 0 .. n_steps - 1.
-    """
-
-    states: np.ndarray
-    controls: np.ndarray
-    epsilon: float
-    pair: EndpointPair
-    path: BrownianPath = None
-
-
-@dataclass
-class VolterraState:
-    """Running correction D(t_j) plus the histories the memory term needs.
-
-    ``d_hist[k]`` is D(t_k) for k = 0 .. t_index; ``dw_hist[k]`` the consumed
-    increment at step k < t_index.
-    """
-
-    d_hist: np.ndarray
-    dw_hist: np.ndarray
-    t_index: int = 0
-
-    @property
-    def d_current(self):
-        return self.d_hist[self.t_index]
-
-
-def sample_brownian_path(grid, dim_control, seed, path_id=0):
-    """Draw one path's increments from a Philox counter-based stream.
-
-    Stream identity is the (seed, path_id) key, so any subset of paths can be
+    Stream identity is the Philox key (seed, p), so any subset of paths can be
     generated in any order, serially or in parallel, with identical results.
     """
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed, path_id], dtype=np.uint64))
-    )
-    dw = rng.standard_normal((grid.n_steps, dim_control)) * np.sqrt(grid.dt)
-    return BrownianPath(increments=dw, seed=seed, path_id=path_id)
-
-
-def sample_increments(grid, m, seed, paths):
-    """(paths, n_steps, m) increments, path p from its own (seed, p) stream."""
     dw = np.empty((paths, grid.n_steps, m))
     for p in range(paths):
-        dw[p] = sample_brownian_path(grid, m, seed, p).increments
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([seed, p], dtype=np.uint64))
+        )
+        dw[p] = rng.standard_normal((grid.n_steps, m)) * np.sqrt(grid.dt)
     return dw
-
-
-def init_volterra_state(table):
-    n = table.n_steps
-    return VolterraState(
-        d_hist=np.zeros((n + 1, table.dim_state)),
-        dw_hist=np.zeros((n, table.dim_control)),
-        t_index=0,
-    )
-
-
-def advance_volterra(state, table, t_index, dw):
-    """Consume the increment at grid step t_index and update D.
-
-    D(t_{k+1}) = D(t_k) + G_{t_f, t_k}^{-1} Phi(t_f, t_k) dW_k.
-    """
-    n = table.n_steps
-    if t_index != state.t_index:
-        raise ValueError(
-            f"out-of-order advance: state at {state.t_index}, got {t_index}"
-        )
-    if t_index >= n:
-        raise NearTerminalSingularityError(
-            "cannot advance the Volterra correction past the final grid index"
-        )
-    dw = np.asarray(dw, dtype=float)
-    rhs = table.phi_lag[n - t_index] @ dw
-    incr = cho_solve((table._chol_bwd[t_index], True), rhs)
-    state.d_hist[t_index + 1] = state.d_hist[t_index] + incr
-    state.dw_hist[t_index] = dw
-    state.t_index = t_index + 1
-    return state
-
-
-def deterministic_control(table, pair, t_index):
-    """Minimum-energy open-loop control K(t_j) (xf - M(t_f) x0)."""
-    n = table.n_steps
-    if not 0 <= t_index <= n:
-        raise ValueError(f"t_index out of range [0, {n}]")
-    residual = pair.xf - table.m_avg[n] @ pair.x0
-    return table.k_gain[t_index] @ residual
-
-
-def deterministic_trajectory(table, pair):
-    """Noise-free steering path; exact pinning at t_f up to rounding."""
-    n = table.n_steps
-    residual = pair.xf - table.m_avg[n] @ pair.x0
-    steer = cho_solve(table._chol_full, residual)
-    states = table.m_avg @ pair.x0 + table.s_cross @ steer
-    controls = table.k_gain @ residual
-    return BridgePath(
-        states=states, controls=controls, epsilon=0.0, pair=pair, path=None
-    )
-
-
-def volterra_control(table, pair, state, t_index, epsilon):
-    """Noisy bridge control at one grid index.
-
-    u(t_j) = -sqrt(eps) Phi(t_f, t_j)^T D(t_j) + K(t_j)(xf - M(t_f) x0).
-    Only defined for t_index < n_steps when eps > 0.
-    """
-    n = table.n_steps
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
-    if epsilon == 0:
-        return deterministic_control(table, pair, t_index)
-    if t_index >= n:
-        raise NearTerminalSingularityError(
-            "Volterra control is undefined at the final grid index"
-        )
-    if state.t_index < t_index:
-        raise ValueError(
-            f"Volterra state only advanced to {state.t_index}, need {t_index}"
-        )
-    residual = pair.xf - table.m_avg[n] @ pair.x0
-    correction = table.phi_lag[n - t_index].T @ state.d_hist[t_index]
-    return -np.sqrt(epsilon) * correction + table.k_gain[t_index] @ residual
 
 
 def volterra_noise_terms(table, increments):
@@ -250,39 +130,6 @@ def volterra_noise_terms(table, increments):
     return {"d_hist": d_hist, "noise": noise, "memory": memory}
 
 
-def volterra_trajectory(table, pair, path, epsilon):
-    """Full pinned trajectory for one noise realization.
-
-    The state is assembled from the closed form
-
-        x(t) = M(t) x0 + S(t) G^{-1} (xf - M(t_f) x0)
-               - sqrt(eps) * memory(t) + sqrt(eps) * noise(t),
-
-    recomputing convolutions over the whole history (no Markov shortcut).
-    With eps = 0 this reduces exactly to :func:`deterministic_trajectory`.
-    """
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
-    if epsilon == 0:
-        return deterministic_trajectory(table, pair)
-    n = table.n_steps
-    terms = volterra_noise_terms(table, path.increments)
-    residual = pair.xf - table.m_avg[n] @ pair.x0
-    steer = cho_solve(table._chol_full, residual)
-    root = np.sqrt(epsilon)
-    states = (
-        table.m_avg @ pair.x0
-        + table.s_cross @ steer
-        + root * (terms["noise"] - terms["memory"])
-    )
-    controls = np.einsum("jab,b->ja", table.k_gain, residual)
-    controls -= root * np.einsum("jab,ja->jb", table.phi_lag[::-1], terms["d_hist"])
-    controls[n] = np.nan
-    return BridgePath(
-        states=states, controls=controls, epsilon=epsilon, pair=pair, path=path
-    )
-
-
 @dataclass
 class BridgeEnsemble:
     """Stacked bridge paths sharing a kernel table and noise seed."""
@@ -302,6 +149,23 @@ class BridgeEnsemble:
         return self.states[:, -1]
 
 
+def bridge_controls(table, residual, d_hist, epsilon):
+    """Bridge controls of every path at every grid index,
+
+        u(t_j) = K(t_j) (xf - M(t_f) x0) - sqrt(eps) Phi(t_f, t_j)^T D(t_j).
+
+    :param residual: (paths, d) steering residuals xf - M(t_f) x0.
+    :param d_hist: (paths, n+1, d) running corrections D(t_j).
+    :returns: (paths, n+1, m).  Row n is finite here; with eps > 0 the bridge
+        control is undefined there, and callers drop or blank it.
+    """
+    controls = np.einsum("jab,pb->pja", table.k_gain, residual)
+    controls -= np.sqrt(epsilon) * np.einsum(
+        "jab,pja->pjb", table.phi_lag[::-1], d_hist
+    )
+    return controls
+
+
 def _bridge_chunk(table, x0s, xfs, dw, epsilon):
     n = table.n_steps
     root = np.sqrt(epsilon)
@@ -313,8 +177,7 @@ def _bridge_chunk(table, x0s, xfs, dw, epsilon):
         + np.einsum("jab,pb->pja", table.s_cross, steer)
         + root * (terms["noise"] - terms["memory"])
     )
-    controls = np.einsum("jab,pb->pja", table.k_gain, residual)
-    controls -= root * np.einsum("jab,pja->pjb", table.phi_lag[::-1], terms["d_hist"])
+    controls = bridge_controls(table, residual, terms["d_hist"], epsilon)
     if epsilon > 0:
         controls[:, n] = np.nan
     return states, controls, root * terms["noise"], -root * terms["memory"]

@@ -43,12 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bridge import (
-    EndpointPair,
-    bridge_ensemble,
-    deterministic_trajectory,
-    export_trajectory_csv,
-)
+from .bridge import EndpointPair, bridge_ensemble, export_trajectory_csv
 from .coupling import export_plan_csv, ot_assignment, product_plan, teacher_controls
 from .distributions import (
     GaussianMixture,
@@ -58,12 +53,7 @@ from .distributions import (
     sample,
     single_gaussian,
 )
-from .errors import (
-    ConfigError,
-    NearTerminalSingularityError,
-    NotAveragedControllableError,
-    TrainingDivergenceError,
-)
+from .errors import ConfigError, NotAveragedControllableError, TrainingDivergenceError
 from .kernel import (
     TimeGrid,
     build_kernel_table,
@@ -228,10 +218,22 @@ def _validate_config(cfg):
     train = _deep_merge(_TRAIN_DEFAULTS, cfg["train"] or {})
     unknown = set(train) - set(_TRAIN_DEFAULTS)
     _require(not unknown, f"unknown train keys: {sorted(unknown)}")
+    for key, minimum in (("epochs", 0), ("batch_size", 1), ("hidden_size", 1)):
+        _as_int(train, key, minimum)
+    _as_float(train, "learning_rate")
+    _as_float(train, "val_fraction")
+    if train["late_learning_rate"] is not None:
+        _as_float(train, "late_learning_rate")
+    if train["seed"] is not None:
+        _as_int(train, "seed", 0)
     cfg["train"] = train
     metric = _deep_merge(_METRIC_DEFAULTS, cfg["metric"] or {})
     unknown = set(metric) - set(_METRIC_DEFAULTS)
     _require(not unknown, f"unknown metric keys: {sorted(unknown)}")
+    _as_int(metric, "n_permutations", 1)
+    _as_int(metric, "n_projections", 1)
+    if metric["max_energy_distance"] is not None:
+        _as_float(metric, "max_energy_distance")
     cfg["metric"] = metric
     return cfg
 
@@ -428,22 +430,13 @@ def cmd_bridge(cfg, run_dir, stamp, args):
     if 0.0 not in eps_list:
         eps_list.insert(0, 0.0)
     for eps in eps_list:
+        # Without noise every path is the same deterministic one.
+        paths = cfg["bridge_paths"] if eps > 0 else 1
+        ens = bridge_ensemble(table, np.tile(pair.x0, (paths, 1)),
+                              np.tile(pair.xf, (paths, 1)), eps, cfg["seed"],
+                              threads=args.threads)
         name = f"trajectory_eps{eps:g}.csv"
-        out_path = os.path.join(run_dir, name)
-        if eps == 0.0:
-            det = deterministic_trajectory(table, pair)
-            export_trajectory_csv(out_path, grid, det.states, det.controls)
-        else:
-            paths = cfg["bridge_paths"]
-            ens = bridge_ensemble(
-                table,
-                np.tile(pair.x0, (paths, 1)),
-                np.tile(pair.xf, (paths, 1)),
-                eps,
-                cfg["seed"],
-                threads=args.threads,
-            )
-            export_trajectory_csv(out_path, grid, ens.states, ens.controls)
+        export_trajectory_csv(os.path.join(run_dir, name), grid, ens.states, ens.controls)
         outputs.append(name)
     _manifest(run_dir, cfg, "bridge", stamp, extra={
         "epsilons": eps_list, "x0": cfg["x0"], "xf": cfg["xf"],
@@ -637,7 +630,8 @@ def cmd_flow(cfg, run_dir, stamp, args):
     export_trajectory_csv(os.path.join(run_dir, "rollout.csv"), grid,
                           rollout.states, rollout.controls)
     reference = _reference(cfg, entry, pairs)
-    report = compare_laws(rollout, reference, metric_seed=cfg["seed"])
+    report = compare_laws(rollout, reference, metric_seed=cfg["seed"],
+                          n_projections=cfg["metric"]["n_projections"])
     export_metrics(report, run_dir)
     _manifest(run_dir, cfg, "flow", stamp, extra={
         "checkpoint": checkpoint,
@@ -692,7 +686,8 @@ def cmd_metrics(cfg, run_dir, stamp, args):
         muf = _mixture(cfg["muf"], "muf")
         right = sample(muf, cfg["n_samples"], cfg["seed"], stream=7)
         right_cloud = right
-    report = compare_laws(left, right, metric_seed=cfg["seed"])
+    report = compare_laws(left, right, metric_seed=cfg["seed"],
+                          n_projections=cfg["metric"]["n_projections"])
     export_metrics(report, run_dir)
     _manifest(run_dir, cfg, "metrics", stamp, extra={
         "left": cfg["left"],
@@ -758,7 +753,7 @@ def _build_parser():
 def _exit_code_for(exc):
     if isinstance(exc, ConfigError):
         return EXIT_CONFIG
-    if isinstance(exc, (NotAveragedControllableError, NearTerminalSingularityError)):
+    if isinstance(exc, NotAveragedControllableError):
         return EXIT_CONTROLLABILITY
     if isinstance(exc, TrainingDivergenceError):
         return EXIT_DIVERGENCE

@@ -18,12 +18,12 @@ components
     C_i   = Y S0 Y^T + Z S_i Z^T + eps G_{t,0},
 
 and posterior mean  sum_i w~_i (m_i + Gamma_i (x - chi_i)) with
-Gamma_i = S_i Z^T C_i^{-1}.  Weights are normalized in log space; by default
-the full Gaussian normalization constants (determinant terms) are included,
-with a switch to drop them since they cancel only for equal C_i.
+Gamma_i = S_i Z^T C_i^{-1}.  Weights are normalized in log space and include
+the full Gaussian normalization constants (determinant terms), which cancel
+only for equal C_i.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -138,28 +138,18 @@ def product_pairs(mu0, muf, n, seed):
 
 @dataclass
 class PosteriorContext:
-    """Everything the endpoint posterior needs besides the kernel table.
-
-    ``mean_r`` is the memory term of the observation model at the current
-    grid index j: ``-sqrt(eps) * volterra_noise_terms(...)["memory"][j]``.
-    ``drop_normalization`` switches the component log-weights to the bare
-    exponent form (no determinant term), matching the unnormalized weighting
-    some derivations use; the default keeps proper Gaussian likelihoods.
-    """
+    """Everything the endpoint posterior needs besides the kernel table and
+    the observed paths."""
 
     mu0: GaussianMixture
     muf: GaussianMixture
     epsilon: float
-    drop_normalization: bool = False
-    mean_r: np.ndarray = None
 
     def __post_init__(self):
         if self.mu0.n_components != 1:
             raise ValueError("the initial law must be a single Gaussian")
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
-        if self.mean_r is None:
-            self.mean_r = np.zeros(self.mu0.dim)
 
 
 def _posterior_pieces(ctx, table, t_index):
@@ -185,11 +175,13 @@ def _posterior_pieces(ctx, table, t_index):
     return y, z, factors, np.array(logdets)
 
 
-def posterior_mean_batch(ctx, table, t_index, states, mean_r):
+def posterior_mean(ctx, table, t_index, states, mean_r):
     """Conditional terminal mean for a batch of states.
 
     :param states: (paths, d) current states.
-    :param mean_r: (paths, d) memory terms (or (d,) shared).
+    :param mean_r: (paths, d) memory terms of the observation model at
+        t_index, ``-sqrt(eps) * volterra_noise_terms(...)["memory"][:, j]``,
+        or one (d,) term shared by every path.
     :returns: (paths, d) posterior means.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
@@ -207,9 +199,7 @@ def posterior_mean_batch(ctx, table, t_index, states, mean_r):
         delta = states - chi
         alpha = cho_solve(factors[i], delta.T).T
         quad = np.einsum("pa,pa->p", delta, alpha)
-        log_w[i] = np.log(ctx.muf.weights[i]) - 0.5 * quad
-        if not ctx.drop_normalization:
-            log_w[i] -= 0.5 * logdets[i]
+        log_w[i] = np.log(ctx.muf.weights[i]) - 0.5 * quad - 0.5 * logdets[i]
         # Gamma_i delta = S_i Z^T C_i^{-1} delta = ((delta C_i^{-1}) Z) S_i.
         comp_means[i] = ctx.muf.means[i] + alpha @ z @ ctx.muf.covs[i]
     if not np.all(np.isfinite(log_w)):
@@ -223,30 +213,3 @@ def posterior_mean_batch(ctx, table, t_index, states, mean_r):
     w = np.exp(log_w - shift)
     w /= w.sum(axis=0)
     return np.einsum("ip,ipa->pa", w, comp_means)
-
-
-def posterior_mean(ctx, table, t_index, state):
-    """Conditional terminal mean given the current state and ctx.mean_r."""
-    return posterior_mean_batch(ctx, table, t_index, state[None], ctx.mean_r)[0]
-
-
-def posterior_control(ctx, table, t_index, state, x0, vstate):
-    """Steering control with the unknown endpoint replaced by its posterior mean.
-
-    u(t_j) = -sqrt(eps) Phi(t_f,t_j)^T D(t_j)
-             + K(t_j) (E[xf | state] - M(t_f) x0)
-    """
-    n = table.n_steps
-    if t_index >= n and ctx.epsilon > 0:
-        from .errors import NearTerminalSingularityError
-
-        raise NearTerminalSingularityError(
-            "posterior control is undefined at the final grid index"
-        )
-    target = posterior_mean(ctx, table, t_index, state)
-    u = table.k_gain[t_index] @ (target - table.m_avg[n] @ np.asarray(x0, float))
-    if ctx.epsilon > 0:
-        u = u - np.sqrt(ctx.epsilon) * (
-            table.phi_lag[n - t_index].T @ vstate.d_hist[t_index]
-        )
-    return u

@@ -22,11 +22,6 @@ class NotAveragedControllableError(Exception):
         self.smallest_eigenvalue = smallest_eigenvalue
 
 
-class NearTerminalSingularityError(Exception):
-    """The backward Gramian was requested at the final grid index, where the
-    steering window has zero width and the inverse does not exist."""
-
-
 class DegeneratePosteriorError(Exception):
     """Every mixture component weight underflowed while conditioning on the
     current state; the posterior mean is undefined."""

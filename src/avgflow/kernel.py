@@ -27,13 +27,9 @@ from dataclasses import dataclass, field
 import json
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, expm
+from scipy.linalg import cho_solve, expm
 
-from .errors import (
-    ConfigError,
-    NearTerminalSingularityError,
-    NotAveragedControllableError,
-)
+from .errors import ConfigError, NotAveragedControllableError
 
 # Condition-number limit beyond which the averaged ensemble is declared not
 # controllable over the horizon.
@@ -41,22 +37,6 @@ COND_LIMIT = 1e12
 
 # Relative jitter added to a Gramian whose Cholesky factorization fails.
 JITTER_SCALE = 1e-10
-
-
-def matrix_exponential(a, t=1.0):
-    """Matrix exponential exp(a * t) via scaling-and-squaring with a diagonal
-    Pade approximant.
-
-    :param a: square (d, d) matrix.
-    :param t: scalar time; the product a * t is exponentiated.
-    :returns: (d, d) array.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)) or not np.isfinite(t):
-        raise ValueError("matrix exponential requires finite entries")
-    return expm(a * float(t))
 
 
 @dataclass
@@ -238,8 +218,8 @@ class KernelTable:
     """Precomputed averaged kernel quantities on a uniform grid.
 
     Because the lag structure makes Phi one-dimensional in time, ``phi_lag[l]``
-    stores Phi(t_j, t_k) for every pair with j - k = l; use :meth:`phi` for
-    two-index access.  All Gramian-derived arrays are indexed by grid index j:
+    stores Phi(t_j, t_k) for every pair with j - k = l.  All Gramian-derived
+    arrays are indexed by grid index j:
 
     * ``m_avg[j]``   M(t_j), averaged transition, (d, d)
     * ``g_fwd[j]``   G_{t_j, 0}, forward Gramian, (d, d)
@@ -279,12 +259,6 @@ class KernelTable:
     @property
     def n_steps(self):
         return self.grid.n_steps
-
-    def phi(self, j, k):
-        """Phi(t_j, t_k) for grid indices j >= k."""
-        if k > j:
-            raise ValueError(f"kernel requested at k={k} > j={j}")
-        return self.phi_lag[j - k]
 
 
 def _chol_psd(mat, events, tag):
@@ -395,47 +369,6 @@ def build_kernel_table(ensemble, grid):
         _chol_bwd=chol_bwd,
         _chol_full=(chol_full, True),
     )
-
-
-def solve_gramian(table, index, rhs, which="bwd"):
-    """Solve G x = rhs for a tabulated Gramian.
-
-    :param which: ``"bwd"`` for G_{t_f, t_index} (the steering window
-        [t_index, t_f]), ``"fwd"`` for G_{t_index, 0}.
-    :param rhs: (d,) vector or (d, k) stack of right-hand sides.
-    :raises NearTerminalSingularityError: backward Gramian at the final index
-        (zero-width window).
-    """
-    n = table.n_steps
-    if int(index) != index or not (0 <= index <= n):
-        raise ValueError(f"index must lie in [0, {n}], got {index}")
-    index = int(index)
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[0] != table.dim_state:
-        raise ValueError(
-            f"rhs must have leading dimension {table.dim_state}, got {rhs.shape}"
-        )
-    if which == "bwd":
-        if index == n:
-            raise NearTerminalSingularityError(
-                "backward Gramian is singular at the final grid index"
-            )
-        factor = (table._chol_bwd[index], True)
-    elif which == "fwd":
-        if index == 0:
-            raise NearTerminalSingularityError(
-                "forward Gramian over a zero-width window is singular"
-            )
-        if index == n:
-            factor = table._chol_full
-        else:
-            factor = (
-                _chol_psd(table.g_fwd[index], table.jitter_events, f"G(t_{index},0)"),
-                True,
-            )
-    else:
-        raise ValueError(f"which must be 'fwd' or 'bwd', got {which!r}")
-    return cho_solve(factor, rhs)
 
 
 def causal_convolve(kernel, seq):

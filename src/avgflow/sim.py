@@ -27,8 +27,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .bridge import _path_slices, _run_chunks, sample_increments, volterra_noise_terms
-from .distributions import PosteriorContext, posterior_mean_batch
+from .bridge import (
+    _path_slices,
+    _run_chunks,
+    bridge_controls,
+    sample_increments,
+    volterra_noise_terms,
+)
+from .distributions import PosteriorContext, posterior_mean
 from .kernel import causal_convolve
 
 CHECKPOINT_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
@@ -36,6 +42,9 @@ SLICED_W2_PROJECTIONS = 128
 
 # Permutations per matrix product in energy_distance_null.
 _NULL_BLOCK = 256
+
+# Rows of one cdist block in energy_distance.
+_CDIST_BLOCK = 1024
 
 
 @dataclass
@@ -99,14 +108,10 @@ class VolterraExactController(DeterministicExactController):
     tag = "volterra-exact"
 
     def stochastic_controls(self, table, x0s, epsilon, noise_data):
-        n = table.n_steps
-        controls = self.open_loop(table, x0s)[:, :n, :]
-        if epsilon > 0:
-            phi_rev = table.phi_lag[::-1]
-            controls = controls - np.sqrt(epsilon) * np.einsum(
-                "jab,pja->pjb", phi_rev[:n], noise_data["d_hist"][:, :n, :]
-            )
-        return controls
+        controls = bridge_controls(
+            table, self._residual(table, x0s), noise_data["d_hist"], epsilon
+        )
+        return controls[:, : table.n_steps]
 
 
 class TeacherController:
@@ -190,22 +195,19 @@ class PosteriorExactController:
 
     tag = "posterior-exact"
 
-    def __init__(self, mu0, muf, drop_normalization=False):
+    def __init__(self, mu0, muf):
         self.mu0 = mu0
         self.muf = muf
-        self.drop_normalization = drop_normalization
         self._ctx = None
 
     def _context(self, epsilon):
         if self._ctx is None or self._ctx.epsilon != epsilon:
-            self._ctx = PosteriorContext(
-                self.mu0, self.muf, epsilon, drop_normalization=self.drop_normalization
-            )
+            self._ctx = PosteriorContext(self.mu0, self.muf, epsilon)
         return self._ctx
 
     def control_step(self, table, t_index, states, x0s, d_hist, epsilon, mean_r):
         ctx = self._context(epsilon)
-        post = posterior_mean_batch(ctx, table, t_index, states, mean_r)
+        post = posterior_mean(ctx, table, t_index, states, mean_r)
         residual = post - x0s @ table.m_avg[table.n_steps].T
         controls = np.einsum("ab,pb->pa", table.k_gain[t_index], residual)
         if epsilon > 0:
@@ -370,14 +372,24 @@ def energy_distance(a, b):
     """V-statistic energy distance: 2 E|A-B| - E|A-A'| - E|B-B'|.
 
     Diagonal (zero) distances are included, so two identical clouds give
-    exactly zero rather than a small negative number.
+    exactly zero rather than a small negative number.  Each mean sums cdist
+    over blocks of at most ``_CDIST_BLOCK`` rows, so memory grows linearly
+    with the cloud sizes; clouds of at most ``_CDIST_BLOCK`` points give the
+    bits of the direct ``cdist(a, b).mean()`` form.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    cross = cdist(a, b).mean()
-    within_a = cdist(a, a).mean()
-    within_b = cdist(b, b).mean()
+    cross = _mean_distance(a, b)
+    within_a = _mean_distance(a, a)
+    within_b = _mean_distance(b, b)
     return max(2.0 * cross - within_a - within_b, 0.0)
+
+
+def _mean_distance(a, b):
+    total = 0.0
+    for lo in range(0, a.shape[0], _CDIST_BLOCK):
+        total += cdist(a[lo : lo + _CDIST_BLOCK], b).sum()
+    return total / (a.shape[0] * b.shape[0])
 
 
 def energy_distance_null(a, b, n_permutations=200, seed=0, max_pooled=6000):

@@ -34,7 +34,6 @@ from avgflow import (
     build_kernel_table,
     build_theta_ensemble,
     compare_laws,
-    deterministic_trajectory,
     energy_distance,
     energy_distance_null,
     flatten_endpoint_dataset,
@@ -46,14 +45,12 @@ from avgflow import (
     rollout_deterministic,
     rollout_stochastic,
     sample,
-    sample_brownian_path,
     sequence_dataset,
     single_gaussian,
     teacher_controls,
     train_feedforward,
     train_gain,
     train_recurrent,
-    volterra_trajectory,
 )
 from avgflow.bridge import EndpointPair
 from avgflow.sim import PosteriorExactController
@@ -132,10 +129,10 @@ def test_criterion_02_constant_family_closed_forms(const_table, record):
     g_expected = (1.0 - times)[:, None, None] * np.eye(2)
     g_err = np.abs(const_table.g_bwd - g_expected).max()
     pair = EndpointPair([0.4, -1.0], [1.2, 0.6])
-    det = deterministic_trajectory(const_table, pair)
+    det = bridge_ensemble(const_table, pair.x0, pair.xf, 0.0, seed=0)
     line_states = pair.x0 + np.outer(times, pair.xf - pair.x0)
-    bridge_err = np.abs(det.states - line_states).max()
-    control_err = np.abs(det.controls - (pair.xf - pair.x0)).max()
+    bridge_err = np.abs(det.states[0] - line_states).max()
+    control_err = np.abs(det.controls[0] - (pair.xf - pair.x0)).max()
     worst = max(phi_err, g_err, bridge_err, control_err)
     record(
         f"criterion 02: {'PASS' if worst <= 1e-12 else 'FAIL'}"
@@ -154,8 +151,8 @@ def test_criterion_03_endpoint_pinning(record):
         table = build_kernel_table(
             build_theta_ensemble(family, 64), TimeGrid(1.0, 1000)
         )
-        det = deterministic_trajectory(table, EndpointPair(X0, XF))
-        errs[family] = np.abs(det.states[-1] - XF).max()
+        det = bridge_ensemble(table, X0, XF, 0.0, seed=0)
+        errs[family] = np.abs(det.terminal - XF).max()
     elapsed = time.monotonic() - t0
     worst = max(errs.values())
     record(
@@ -171,7 +168,7 @@ def test_criterion_04_bridge_statistics(record):
     t0 = time.monotonic()
     fine = ou2d_at(1000)
     finer = ou2d_at(2000)
-    det = deterministic_trajectory(fine, EndpointPair(X0, XF))
+    det = bridge_ensemble(fine, X0, XF, 0.0, seed=0).states[0]
     x0s = np.tile(X0, (2000, 1))
     xfs = np.tile(XF, (2000, 1))
     worst_mean = worst_cov = 0.0
@@ -180,7 +177,7 @@ def test_criterion_04_bridge_statistics(record):
         ens = bridge_ensemble(fine, x0s, xfs, eps, seed=seed, threads=4)
         for frac in (0.25, 0.5, 0.75):
             j = round(frac * 1000)
-            gap = np.abs(ens.states[:, j].mean(axis=0) - det.states[j])
+            gap = np.abs(ens.states[:, j].mean(axis=0) - det[j])
             se = ens.states[:, j].std(axis=0, ddof=1) / np.sqrt(2000)
             worst_mean = max(worst_mean, (gap / se).max())
         for frac in (0.25, 0.5, 0.75, 1.0):
@@ -215,18 +212,17 @@ def test_criterion_05_scalar_bridge_recursion(scalar_table, record):
     (t_f - t_{j+1})/(t_f - t_j) and the fresh increment with it."""
     grid = scalar_table.grid
     t, dt, n = grid.times, grid.dt, grid.n_steps
-    pair = EndpointPair([0.5], [-1.0])
+    ens = bridge_ensemble(scalar_table, np.full((20, 1), 0.5), np.full((20, 1), -1.0),
+                          1.0, seed=9)
     worst = 0.0
     for p in range(20):
-        noise = sample_brownian_path(grid, 1, seed=9, path_id=p)
-        path = volterra_trajectory(scalar_table, pair, noise, 1.0)
-        dw = noise.increments[:, 0]
+        dw = ens.increments[p, :, 0]
         x = np.empty(n + 1)
         x[0] = 0.5
         for j in range(n):
             shrink = (1.0 - t[j + 1]) / (1.0 - t[j])
             x[j + 1] = x[j] + (-1.0 - x[j]) / (1.0 - t[j]) * dt + shrink * dw[j]
-        worst = max(worst, np.abs(path.states[:, 0] - x).max())
+        worst = max(worst, np.abs(ens.states[p, :, 0] - x).max())
     record(
         f"criterion 05: {'PASS' if worst <= 1e-3 else 'FAIL'}"
         f" — scalar bridge vs classical recursion, max dev {worst:.1e}"
@@ -247,10 +243,9 @@ def test_criterion_06_posterior_regression_oracle(ou2d_table, record):
         y, z, g = table.y_coef[j], table.z_coef[j], table.g_fwd[j]
         cov_xx = y @ s0 @ y.T + z @ sf @ z.T + eps * g
         mean_x = y @ m0 + z @ mf
-        for probe in probes:
-            oracle = mf + (sf @ z.T) @ np.linalg.solve(cov_xx, probe - mean_x)
-            got = posterior_mean(ctx, table, j, probe)
-            grid_worst = max(grid_worst, np.abs(got - oracle).max())
+        oracle = mf + np.linalg.solve(cov_xx, (probes - mean_x).T).T @ (sf @ z.T).T
+        got = posterior_mean(ctx, table, j, probes, np.zeros(2))
+        grid_worst = max(grid_worst, np.abs(got - oracle).max())
 
     # Monte Carlo regression, 10^6 draws in 100 batches for the SE
     j = 100
@@ -270,7 +265,8 @@ def test_criterion_06_posterior_regression_oracle(ou2d_table, record):
     preds = np.array(preds)
     se = preds.std(axis=0, ddof=1) / 10.0
     mc_gap_se = (
-        np.abs(posterior_mean(ctx, table, j, probe) - preds.mean(axis=0)) / se
+        np.abs(posterior_mean(ctx, table, j, probe[None], np.zeros(2))[0]
+               - preds.mean(axis=0)) / se
     ).max()
     ok = grid_worst <= 1e-8 and mc_gap_se <= 3.0
     record(

@@ -7,21 +7,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from avgflow import (
+    DeterministicExactController,
     EndpointPair,
-    NearTerminalSingularityError,
     TimeGrid,
-    advance_volterra,
+    VolterraExactController,
     bridge_ensemble,
     build_kernel_table,
     build_theta_ensemble,
-    deterministic_control,
-    deterministic_trajectory,
     export_trajectory_csv,
-    init_volterra_state,
-    sample_brownian_path,
-    volterra_control,
+    sample_increments,
     volterra_noise_terms,
-    volterra_trajectory,
 )
 from avgflow.cli import _load_trajectory_csv
 
@@ -38,25 +33,57 @@ class TestEndpointPair:
             EndpointPair([1.0], [0.0, 0.0])
 
 
+def reference_bridge(table, x0, xf, dw, epsilon):
+    """Single-path oracle: D by one dense solve per step, the noise and memory
+    terms by direct sums, then the closed-form state and control."""
+    n, dt = table.n_steps, table.grid.dt
+    phi = table.phi_lag
+    d_hist = np.zeros((n + 1, table.dim_state))
+    for k in range(n):
+        d_hist[k + 1] = d_hist[k] + np.linalg.solve(table.g_bwd[k], phi[n - k] @ dw[k])
+    noise = np.zeros_like(d_hist)
+    memory = np.zeros_like(d_hist)
+    for j in range(n + 1):
+        for k in range(j):
+            noise[j] += phi[j - k] @ dw[k]
+        for k in range(j + 1):
+            memory[j] += dt * phi[j - k] @ (phi[n - k].T @ d_hist[k])
+    residual = xf - table.m_avg[n] @ x0
+    steer = np.linalg.solve(table.g_fwd[n], residual)
+    root = np.sqrt(epsilon)
+    states = table.m_avg @ x0 + table.s_cross @ steer + root * (noise - memory)
+    controls = np.stack([phi[n - j].T @ (steer - root * d_hist[j]) for j in range(n + 1)])
+    return states, controls
+
+
+def steer(table, pair):
+    """The deterministic steering path of one pair: a bridge without noise."""
+    ens = bridge_ensemble(table, pair.x0, pair.xf, 0.0, seed=0)
+    return ens.states[0], ens.controls[0]
+
+
+def unit_increments(table, index, dw):
+    """Increments that are zero except ``dw`` at step ``index``."""
+    out = np.zeros((table.n_steps, table.dim_control))
+    out[index] = dw
+    return out
+
+
 class TestBrownianStreams:
     def test_reproducible_per_path(self):
         grid = TimeGrid(1.0, 100)
-        a = sample_brownian_path(grid, 2, seed=5, path_id=3)
-        b = sample_brownian_path(grid, 2, seed=5, path_id=3)
-        np.testing.assert_array_equal(a.increments, b.increments)
+        a = sample_increments(grid, 2, 5, 4)
+        b = sample_increments(grid, 2, 5, 6)
+        np.testing.assert_array_equal(a, b[:4])
 
     def test_distinct_paths_differ(self):
         grid = TimeGrid(1.0, 100)
-        a = sample_brownian_path(grid, 2, seed=5, path_id=0)
-        b = sample_brownian_path(grid, 2, seed=5, path_id=1)
-        assert np.any(a.increments != b.increments)
+        dw = sample_increments(grid, 2, 5, 2)
+        assert np.any(dw[0] != dw[1])
 
     def test_increment_variance_scales_with_dt(self):
         grid = TimeGrid(1.0, 400)
-        dw = np.stack(
-            [sample_brownian_path(grid, 1, seed=9, path_id=p).increments
-             for p in range(200)]
-        )
+        dw = sample_increments(grid, 1, 9, 200)
         var = dw.var()
         se = np.sqrt(2.0 / dw.size) * grid.dt
         assert abs(var - grid.dt) < 4 * se
@@ -64,23 +91,20 @@ class TestBrownianStreams:
 
 class TestDeterministicSteering:
     def test_constant_family_straight_line(self, const_table):
-        path = deterministic_trajectory(const_table, PAIR)
+        states, controls = steer(const_table, PAIR)
         times = const_table.grid.times
         expected = np.stack([np.ones_like(times), times], axis=1)
-        np.testing.assert_allclose(path.states, expected, atol=1e-12)
+        np.testing.assert_allclose(states, expected, atol=1e-12)
         np.testing.assert_allclose(
-            path.controls, np.broadcast_to([0.0, 1.0], path.controls.shape),
-            atol=1e-12,
+            controls, np.broadcast_to([0.0, 1.0], controls.shape), atol=1e-12
         )
 
     def test_zero_residual_means_zero_control(self, ou2d_table):
         n = ou2d_table.n_steps
         x0 = np.array([0.7, -0.4])
-        pair = EndpointPair(x0, ou2d_table.m_avg[n] @ x0)
+        _, controls = steer(ou2d_table, EndpointPair(x0, ou2d_table.m_avg[n] @ x0))
         for j in (0, n // 2, n):
-            np.testing.assert_allclose(
-                deterministic_control(ou2d_table, pair, j), 0.0, atol=1e-14
-            )
+            np.testing.assert_allclose(controls[j], 0.0, atol=1e-14)
 
     def test_initial_control_closed_form(self, ou2d_fine):
         # Everything in u(0) = Phi(1,0)^T G^{-1} (xf - M(1) x0) has a closed
@@ -91,103 +115,88 @@ class TestDeterministicSteering:
         residual = np.array([1.0, 1.0]) - m1 @ np.array([1.0, 0.0])
         np.testing.assert_allclose(residual, [0.158529, 0.540302], atol=1e-6)
         expected = m1.T @ residual / 0.9727707
-        got = deterministic_control(ou2d_fine, PAIR, 0)
-        np.testing.assert_allclose(got, expected, atol=1e-5)
+        _, controls = steer(ou2d_fine, PAIR)
+        np.testing.assert_allclose(controls[0], expected, atol=1e-5)
 
     def test_pinning_random_endpoints(self, ou2d_fine, anti_fine):
         rng = np.random.Generator(np.random.Philox(key=[11, 0]))
         for table in (ou2d_fine, anti_fine):
-            for _ in range(5):
-                pair = EndpointPair(*rng.uniform(-2.0, 2.0, size=(2, 2)))
-                path = deterministic_trajectory(table, pair)
-                err = np.max(np.abs(path.states[-1] - pair.xf))
-                assert err <= 1e-6
-                np.testing.assert_allclose(path.states[0], pair.x0, atol=1e-12)
+            x0s, xfs = rng.uniform(-2.0, 2.0, size=(2, 5, 2))
+            ens = bridge_ensemble(table, x0s, xfs, 0.0, seed=0)
+            assert np.abs(ens.terminal - xfs).max() <= 1e-6
+            np.testing.assert_allclose(ens.states[:, 0], x0s, atol=1e-12)
 
 
 class TestVolterraState:
+    """The running correction D(t_j) of ``volterra_noise_terms``."""
+
     def test_zero_increment_keeps_zero(self, const_table):
-        state = init_volterra_state(const_table)
-        advance_volterra(state, const_table, 0, np.zeros(2))
-        np.testing.assert_array_equal(state.d_current, 0.0)
+        terms = volterra_noise_terms(const_table, unit_increments(const_table, 0, 0.0))
+        np.testing.assert_array_equal(terms["d_hist"], 0.0)
 
     def test_unit_window_inverse(self, const_table):
-        state = init_volterra_state(const_table)
         dw = np.array([0.3, -0.8])
-        advance_volterra(state, const_table, 0, dw)
-        np.testing.assert_allclose(state.d_current, dw, atol=1e-12)
+        terms = volterra_noise_terms(const_table, unit_increments(const_table, 0, dw))
+        np.testing.assert_allclose(terms["d_hist"][1], dw, atol=1e-12)
 
     def test_half_window_inverse(self, const_table):
         n = const_table.n_steps
-        state = init_volterra_state(const_table)
-        for j in range(n // 2):
-            advance_volterra(state, const_table, j, np.zeros(2))
         dw = np.array([0.5, 0.25])
-        advance_volterra(state, const_table, n // 2, dw)
-        np.testing.assert_allclose(state.d_current, 2.0 * dw, atol=1e-12)
-
-    def test_out_of_order_rejected(self, const_table):
-        state = init_volterra_state(const_table)
-        with pytest.raises(ValueError, match="out-of-order"):
-            advance_volterra(state, const_table, 3, np.zeros(2))
-
-    def test_terminal_advance_rejected(self, const_table):
-        n = const_table.n_steps
-        state = init_volterra_state(const_table)
-        for j in range(n):
-            advance_volterra(state, const_table, j, np.zeros(2))
-        with pytest.raises(NearTerminalSingularityError):
-            advance_volterra(state, const_table, n, np.zeros(2))
+        terms = volterra_noise_terms(const_table, unit_increments(const_table, n // 2, dw))
+        np.testing.assert_array_equal(terms["d_hist"][: n // 2 + 1], 0.0)
+        np.testing.assert_allclose(terms["d_hist"][n // 2 + 1], 2.0 * dw, atol=1e-12)
 
 
 class TestVolterraControl:
+    """The volterra-exact controller's bridge control law."""
+
+    def noise_data(self, table, dw):
+        return {k: v[None] for k, v in volterra_noise_terms(table, dw).items()}
+
     def test_epsilon_zero_is_deterministic(self, ou2d_table):
-        state = init_volterra_state(ou2d_table)
-        for j in (0, 31, 150):
-            np.testing.assert_array_equal(
-                volterra_control(ou2d_table, PAIR, state, j, 0.0),
-                deterministic_control(ou2d_table, PAIR, j),
-            )
+        dw = sample_increments(ou2d_table.grid, 2, 1, 1)[0]
+        got = VolterraExactController(PAIR.xf).stochastic_controls(
+            ou2d_table, PAIR.x0[None], 0.0, self.noise_data(ou2d_table, dw)
+        )
+        want = DeterministicExactController(PAIR.xf).open_loop(ou2d_table, PAIR.x0[None])
+        np.testing.assert_array_equal(got, want[:, : ou2d_table.n_steps])
 
     def test_zero_noise_is_deterministic(self, ou2d_table):
-        state = init_volterra_state(ou2d_table)
-        for j in range(40):
-            advance_volterra(state, ou2d_table, j, np.zeros(2))
-        np.testing.assert_allclose(
-            volterra_control(ou2d_table, PAIR, state, 40, 1.0),
-            deterministic_control(ou2d_table, PAIR, 40),
-            atol=1e-12,
+        got = VolterraExactController(PAIR.xf).stochastic_controls(
+            ou2d_table, PAIR.x0[None], 1.0,
+            self.noise_data(ou2d_table, unit_increments(ou2d_table, 0, 0.0)),
         )
+        want = DeterministicExactController(PAIR.xf).open_loop(ou2d_table, PAIR.x0[None])
+        np.testing.assert_allclose(got, want[:, : ou2d_table.n_steps], atol=1e-12)
 
     def test_single_increment_hand_value(self, const_table):
         # A = 0, B = I: after one increment at t = 0 the correction is
         # D = G_{1,0}^{-1} dW = dW, so u(t_j) = (xf - x0) - sqrt(eps) * dW.
-        n = const_table.n_steps
-        state = init_volterra_state(const_table)
         dw = np.array([0.2, -0.4])
-        advance_volterra(state, const_table, 0, dw)
-        got = volterra_control(const_table, PAIR, state, 1, 1.0)
+        got = VolterraExactController(PAIR.xf).stochastic_controls(
+            const_table, PAIR.x0[None], 1.0,
+            self.noise_data(const_table, unit_increments(const_table, 0, dw)),
+        )
         expected = (PAIR.xf - PAIR.x0) - dw
-        np.testing.assert_allclose(got, expected, atol=1e-12)
-
-    def test_terminal_index_rejected(self, ou2d_table):
-        state = init_volterra_state(ou2d_table)
-        with pytest.raises(NearTerminalSingularityError):
-            volterra_control(ou2d_table, PAIR, state, ou2d_table.n_steps, 1.0)
+        np.testing.assert_allclose(got[0, 1], expected, atol=1e-12)
 
 
 class TestVolterraTrajectory:
     def test_epsilon_zero_reduces_to_deterministic(self, ou2d_table):
-        noise = sample_brownian_path(ou2d_table.grid, 2, seed=1)
-        path = volterra_trajectory(ou2d_table, PAIR, noise, 0.0)
-        det = deterministic_trajectory(ou2d_table, PAIR)
-        np.testing.assert_array_equal(path.states, det.states)
+        x0s = np.tile(PAIR.x0, (3, 1))
+        xfs = np.tile(PAIR.xf, (3, 1))
+        one = bridge_ensemble(ou2d_table, x0s, xfs, 0.0, seed=1)
+        two = bridge_ensemble(ou2d_table, x0s, xfs, 0.0, seed=2)
+        np.testing.assert_array_equal(one.states, two.states)
+        for p in (1, 2):
+            np.testing.assert_array_equal(one.states[p], one.states[0])
+        np.testing.assert_array_equal(one.noise, 0.0)
+        np.testing.assert_array_equal(one.memory, 0.0)
 
     def test_terminal_controls_undefined(self, ou2d_table):
-        noise = sample_brownian_path(ou2d_table.grid, 2, seed=1)
-        path = volterra_trajectory(ou2d_table, PAIR, noise, 0.5)
-        assert np.all(np.isnan(path.controls[-1]))
-        assert np.all(np.isfinite(path.controls[:-1]))
+        ens = bridge_ensemble(ou2d_table, PAIR.x0, PAIR.xf, 0.5, seed=1)
+        assert np.all(np.isnan(ens.controls[:, -1]))
+        assert np.all(np.isfinite(ens.controls[:, :-1]))
 
     def test_matches_bridge_recursion(self, scalar_table):
         # Independent route: for A = 0, B = 1 the construction collapses to
@@ -195,44 +204,47 @@ class TestVolterraTrajectory:
         # exactly, x_j = x0 (1 - t_j) + xf t_j + sqrt(eps) (1 - t_j) D_j
         # where D_j accumulates dW_k / (1 - t_k).
         pair = EndpointPair(np.array([0.5]), np.array([-1.0]))
-        noise = sample_brownian_path(scalar_table.grid, 1, seed=7)
         eps = 0.5
-        path = volterra_trajectory(scalar_table, pair, noise, eps)
+        ens = bridge_ensemble(scalar_table, pair.x0, pair.xf, eps, seed=7)
         times = scalar_table.grid.times
         d = np.concatenate(
-            [[0.0], np.cumsum(noise.increments[:, 0] / (1.0 - times[:-1]))]
+            [[0.0], np.cumsum(ens.increments[0, :, 0] / (1.0 - times[:-1]))]
         )
         expected = (
             pair.x0[0] * (1 - times)
             + pair.xf[0] * times
             + np.sqrt(eps) * (1 - times) * d
         )
-        np.testing.assert_allclose(path.states[:, 0], expected, atol=1e-12)
-        assert path.states[-1, 0] == pytest.approx(pair.xf[0], abs=1e-12)
+        np.testing.assert_allclose(ens.states[0, :, 0], expected, atol=1e-12)
+        assert ens.states[0, -1, 0] == pytest.approx(pair.xf[0], abs=1e-12)
 
     def test_refinement_shrinks_terminal_error(self):
         medians = []
         for n in (250, 500, 1000):
             ens = build_theta_ensemble("ou2d", 64)
             table = build_kernel_table(ens, TimeGrid(1.0, n))
-            errs = []
-            for p in range(100):
-                noise = sample_brownian_path(table.grid, 2, seed=17, path_id=p)
-                path = volterra_trajectory(table, PAIR, noise, 1.0)
-                errs.append(np.linalg.norm(path.states[-1] - PAIR.xf))
+            bridges = bridge_ensemble(
+                table, np.tile(PAIR.x0, (100, 1)), np.tile(PAIR.xf, (100, 1)),
+                1.0, seed=17,
+            )
+            errs = np.linalg.norm(bridges.terminal - PAIR.xf, axis=1)
             medians.append(np.median(errs))
         assert medians[0] > medians[1] > medians[2]
 
 
 class TestBridgeEnsemble:
     def test_matches_single_path_construction(self, ou2d_table):
-        x0s = np.tile(PAIR.x0, (4, 1))
-        xfs = np.tile(PAIR.xf, (4, 1))
+        rng = np.random.Generator(np.random.Philox(key=[23, 0]))
+        x0s = rng.normal(size=(4, 2))
+        xfs = rng.normal(size=(4, 2)) + 1.0
         ens = bridge_ensemble(ou2d_table, x0s, xfs, 0.5, seed=23)
+        n = ou2d_table.n_steps
         for p in range(4):
-            noise = sample_brownian_path(ou2d_table.grid, 2, seed=23, path_id=p)
-            single = volterra_trajectory(ou2d_table, PAIR, noise, 0.5)
-            np.testing.assert_allclose(ens.states[p], single.states, atol=1e-12)
+            states, controls = reference_bridge(
+                ou2d_table, x0s[p], xfs[p], ens.increments[p], 0.5
+            )
+            np.testing.assert_allclose(ens.states[p], states, atol=1e-12)
+            np.testing.assert_allclose(ens.controls[p, :n], controls[:n], atol=1e-12)
 
     def test_noise_and_memory_recompose_states(self, ou2d_table):
         rng = np.random.Generator(np.random.Philox(key=[29, 0]))
@@ -317,17 +329,15 @@ def reference_trajectory_csv(path, grid, states=None, controls=None):
 
 class TestTrajectoryCsv:
     def test_roundtrip_preserves_values(self, const_table, tmp_path):
-        path = deterministic_trajectory(const_table, PAIR)
+        states, controls = steer(const_table, PAIR)
         out = tmp_path / "traj.csv"
-        export_trajectory_csv(
-            str(out), const_table.grid, path.states, path.controls
-        )
+        export_trajectory_csv(str(out), const_table.grid, states, controls)
         rows = out.read_text().strip().splitlines()
         assert rows[0] == "path_id,t,x1,x2,u1,u2"
         data = np.array([r.split(",") for r in rows[1:]], dtype=float)
         assert data.shape[0] == const_table.n_steps + 1
-        np.testing.assert_array_equal(data[:, 2:4], path.states)
-        np.testing.assert_array_equal(data[:, 4:6], path.controls)
+        np.testing.assert_array_equal(data[:, 2:4], states)
+        np.testing.assert_array_equal(data[:, 4:6], controls)
 
     @pytest.fixture(scope="class")
     def blocks(self, const_table):

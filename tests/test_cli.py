@@ -291,6 +291,31 @@ class TestTrainCommand:
         assert record["error"] == "TrainingDivergenceError"
 
 
+class TestConfigTypes:
+    @pytest.mark.parametrize("command, section, field, value", [
+        ("train", "train", "epochs", 2.5),
+        ("train", "train", "epochs", "3"),
+        ("train", "train", "batch_size", True),
+        ("train", "train", "hidden_size", 8.0),
+        ("train", "train", "learning_rate", "0.1"),
+        ("train", "train", "late_learning_rate", [0.1]),
+        ("train", "train", "val_fraction", None),
+        ("train", "train", "seed", 1.5),
+        ("flow", "metric", "n_permutations", "abc"),
+        ("flow", "metric", "n_projections", 2.5),
+        ("flow", "metric", "max_energy_distance", "big"),
+    ])
+    def test_mistyped_field_exits_2(
+        self, command, section, field, value, tmp_path, monkeypatch, capsys
+    ):
+        config = {"n_steps": 20, "n_samples": 8, section: {field: value}}
+        if command == "train":
+            config["model"] = "gain"
+        code = invoke(monkeypatch, tmp_path, command, config, extra=["--strict"])
+        assert code == 2
+        assert f"'{field}' must be" in capsys.readouterr().err
+
+
 class TestSimulateCommand:
     def test_learned_rnn_roundtrip_through_checkpoint(self, tmp_path, monkeypatch):
         train_config = {
@@ -472,6 +497,20 @@ class TestMetricsCommand:
         record = json.loads((run_dir / "error.json").read_text())
         assert record["exit_code"] == 5
         assert record["error"] == "MetricGateError"
+
+    @pytest.mark.parametrize("command", ["metrics", "flow"])
+    def test_n_projections_reaches_sliced_w2(self, command, tmp_path, monkeypatch, left_csv):
+        config = {"n_steps": 50, "left": left_csv, "n_samples": 64}
+        if command == "flow":
+            config = {"n_steps": 20, "n_samples": 16, "controller": "deterministic-exact"}
+        values = []
+        for projections in (3, 128):
+            config["metric"] = {"n_projections": projections}
+            out = tmp_path / f"{command}{projections}"
+            assert invoke(monkeypatch, out, command, config) == 0
+            lines = (only_run_dir(out, command) / "metrics.csv").read_text().splitlines()
+            values.append(dict(line.split(",") for line in lines)["sliced_w2"])
+        assert values[0] != values[1]
 
     def test_left_is_required(self, tmp_path, monkeypatch, capsys):
         code = invoke(monkeypatch, tmp_path, "metrics", {"n_steps": 50})

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from avgflow import (
-    EndpointPair,
-    deterministic_control,
     export_plan_csv,
     ot_assignment,
     product_plan,
@@ -117,12 +115,15 @@ class TestTeacherControls:
         x0s = rng.normal(size=(6, 2))
         targets = rng.normal(size=(6, 2)) + [1.0, 1.0]
         teacher = teacher_controls(ou2d_table, x0s, targets)
+        n = ou2d_table.n_steps
         for i in range(6):
-            pair = EndpointPair(x0s[i], targets[teacher.plan.permutation[i]])
+            # u(t_j) = Phi(t_f, t_j)^T G_{t_f,0}^{-1} (xf - M(t_f) x0)
+            residual = targets[teacher.plan.permutation[i]] - ou2d_table.m_avg[n] @ x0s[i]
+            steer = np.linalg.solve(ou2d_table.g_fwd[n], residual)
             for j in (0, 57, 200):
                 np.testing.assert_allclose(
                     teacher.controls[i, j],
-                    deterministic_control(ou2d_table, pair, j),
+                    ou2d_table.phi_lag[n - j].T @ steer,
                     atol=1e-12,
                 )
 

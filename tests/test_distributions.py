@@ -4,25 +4,22 @@ import numpy as np
 import pytest
 
 from avgflow import (
-    EndpointPair,
+    DeterministicExactController,
     GaussianMixture,
-    NearTerminalSingularityError,
     PosteriorContext,
-    advance_volterra,
+    PosteriorExactController,
     bridge_ensemble,
-    deterministic_control,
-    init_volterra_state,
     point_mass,
-    posterior_control,
     posterior_mean,
-    posterior_mean_batch,
     product_pairs,
     ring_mixture,
     sample,
-    sample_brownian_path,
+    sample_increments,
     single_gaussian,
     volterra_noise_terms,
 )
+
+ZERO_R = np.zeros(2)
 
 
 def recompute_mean_r(table, d_hist, t_index, epsilon):
@@ -173,9 +170,9 @@ class TestPosteriorMean:
         mu0 = single_gaussian([1.0, 0.0], 0.01 * np.eye(2))
         muf = two_point_mixture()
         ctx = PosteriorContext(mu0, muf, 0.5)
-        for state in ([1.0, 0.0], [1.4, -0.3]):
-            got = posterior_mean(ctx, ou2d_table, 0, np.asarray(state))
-            np.testing.assert_allclose(got, muf.mean, atol=1e-9)
+        states = np.array([[1.0, 0.0], [1.4, -0.3]])
+        got = posterior_mean(ctx, ou2d_table, 0, states, ZERO_R)
+        np.testing.assert_allclose(got, np.tile(muf.mean, (2, 1)), atol=1e-9)
 
     def test_symmetric_mixture_antisymmetry(self, ou2d_table):
         # Reflecting the observed state through the model's central state
@@ -191,8 +188,9 @@ class TestPosteriorMean:
             + ou2d_table.z_coef[j] @ muf.mean
         )
         probe = np.array([0.2, 0.0])
-        left = posterior_mean(ctx, ou2d_table, j, base - probe)
-        right = posterior_mean(ctx, ou2d_table, j, base + probe)
+        left, right = posterior_mean(
+            ctx, ou2d_table, j, np.stack([base - probe, base + probe]), ZERO_R
+        )
         np.testing.assert_allclose(
             left - muf.mean, -(right - muf.mean), atol=1e-9
         )
@@ -219,9 +217,7 @@ class TestPosteriorMean:
             expected = muf.means[0] + (
                 np.linalg.solve(cov_xx, (states - mean_x).T).T @ cov_fx.T
             )
-            got = posterior_mean_batch(
-                ctx, ou2d_table, j, states, np.zeros(2)
-            )
+            got = posterior_mean(ctx, ou2d_table, j, states, ZERO_R)
             np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def test_identical_components_collapse(self, ou2d_table):
@@ -237,8 +233,8 @@ class TestPosteriorMean:
         states = rng.normal(size=(6, 2))
         for j in (0, 50, 150):
             np.testing.assert_allclose(
-                posterior_mean_batch(ctx3, ou2d_table, j, states, np.zeros(2)),
-                posterior_mean_batch(ctx1, ou2d_table, j, states, np.zeros(2)),
+                posterior_mean(ctx3, ou2d_table, j, states, ZERO_R),
+                posterior_mean(ctx1, ou2d_table, j, states, ZERO_R),
                 atol=1e-12,
             )
 
@@ -250,22 +246,8 @@ class TestPosteriorMean:
         ctx = PosteriorContext(mu0, muf, 0.5)
         sigma = 0.1
         far = muf.means[1] + np.array([10 * sigma, 0.0])
-        got = posterior_mean(ctx, ou2d_table, 100, far)
+        got = posterior_mean(ctx, ou2d_table, 100, far[None], ZERO_R)
         assert np.all(np.isfinite(got))
-
-    def test_drop_normalization_changes_unequal_covariances(self, ou2d_table):
-        mu0 = single_gaussian([1.0, 0.0], 0.01 * np.eye(2))
-        muf = GaussianMixture(
-            [0.5, 0.5],
-            np.array([[0.8, 1.0], [1.2, 1.0]]),
-            np.stack([0.002 * np.eye(2), 0.08 * np.eye(2)]),
-        )
-        full = PosteriorContext(mu0, muf, 0.5)
-        bare = PosteriorContext(mu0, muf, 0.5, drop_normalization=True)
-        state = np.array([1.0, 0.6])
-        a = posterior_mean(full, ou2d_table, 100, state)
-        b = posterior_mean(bare, ou2d_table, 100, state)
-        assert np.linalg.norm(a - b) > 1e-6
 
 
 class TestMemoryTerm:
@@ -294,14 +276,17 @@ class TestMemoryTerm:
         )
 
     def test_advance_matches_recompute(self, ou2d_table):
-        noise = sample_brownian_path(ou2d_table.grid, 2, seed=54)
-        state = init_volterra_state(ou2d_table)
-        j = 60
+        # D advanced one dense solve per step, against the vectorized D.
+        dw = sample_increments(ou2d_table.grid, 2, 54, 1)[0]
+        n, j = ou2d_table.n_steps, 60
+        d_hist = np.zeros((n + 1, 2))
         for k in range(j):
-            advance_volterra(state, ou2d_table, k, noise.increments[k])
-        terms = volterra_noise_terms(ou2d_table, noise.increments)
+            d_hist[k + 1] = d_hist[k] + np.linalg.solve(
+                ou2d_table.g_bwd[k], ou2d_table.phi_lag[n - k] @ dw[k]
+            )
+        terms = volterra_noise_terms(ou2d_table, dw)
         np.testing.assert_allclose(
-            recompute_mean_r(ou2d_table, state.d_hist, j, 0.5),
+            recompute_mean_r(ou2d_table, d_hist, j, 0.5),
             recompute_mean_r(ou2d_table, terms["d_hist"], j, 0.5),
             atol=1e-12,
         )
@@ -323,20 +308,28 @@ class TestMemoryTerm:
 
 
 class TestPosteriorControl:
+    """The posterior-exact controller's control law at one grid index."""
+
+    def control(self, ctx, table, j, states, x0s, epsilon):
+        paths = states.shape[0]
+        d_hist = np.zeros((paths, table.n_steps + 1, 2))
+        return PosteriorExactController(ctx.mu0, ctx.muf).control_step(
+            table, j, states, x0s, d_hist, epsilon, np.zeros((paths, 2))
+        )
+
     def test_point_mass_endpoints_reduce_to_deterministic(self, ou2d_table):
         x0 = np.array([1.0, 0.0])
         xf = np.array([1.0, 1.0])
         ctx = PosteriorContext(point_mass(x0), point_mass(xf), 0.0)
-        vstate = init_volterra_state(ou2d_table)
-        pair = EndpointPair(x0, xf)
+        exact = DeterministicExactController(xf).open_loop(ou2d_table, x0[None])
         n = ou2d_table.n_steps
         for j in (0, 70, n - 1):
             state = (
                 ou2d_table.y_coef[j] @ x0 + ou2d_table.z_coef[j] @ xf
             )
             np.testing.assert_allclose(
-                posterior_control(ctx, ou2d_table, j, state, x0, vstate),
-                deterministic_control(ou2d_table, pair, j),
+                self.control(ctx, ou2d_table, j, state[None], x0[None], 0.0),
+                exact[:, j],
                 atol=1e-9,
             )
 
@@ -344,24 +337,13 @@ class TestPosteriorControl:
         mu0 = single_gaussian([1.0, 0.0], 0.01 * np.eye(2))
         muf = two_point_mixture()
         ctx = PosteriorContext(mu0, muf, 0.5)
-        vstate = init_volterra_state(ou2d_table)
         x0 = np.array([0.9, 0.1])
         n = ou2d_table.n_steps
         expected = ou2d_table.k_gain[0] @ (
             muf.mean - ou2d_table.m_avg[n] @ x0
         )
-        got = posterior_control(ctx, ou2d_table, 0, x0, x0, vstate)
-        np.testing.assert_allclose(got, expected, atol=1e-9)
-
-    def test_terminal_index_rejected_when_noisy(self, ou2d_table):
-        mu = single_gaussian([1.0, 0.0], 0.01 * np.eye(2))
-        ctx = PosteriorContext(mu, mu, 0.5)
-        vstate = init_volterra_state(ou2d_table)
-        with pytest.raises(NearTerminalSingularityError):
-            posterior_control(
-                ctx, ou2d_table, ou2d_table.n_steps,
-                np.zeros(2), np.zeros(2), vstate,
-            )
+        got = self.control(ctx, ou2d_table, 0, x0[None], x0[None], 0.5)
+        np.testing.assert_allclose(got[0], expected, atol=1e-9)
 
 
 class TestPosteriorMartingale:
@@ -376,17 +358,10 @@ class TestPosteriorMartingale:
         ens = bridge_ensemble(
             ou2d_table, pairs.x0s, pairs.xfs, eps, seed=142, threads=4
         )
-        dw = np.stack(
-            [
-                sample_brownian_path(ou2d_table.grid, 2, seed=142, path_id=p).increments
-                for p in range(n_paths)
-            ]
-        )
-        memory = volterra_noise_terms(ou2d_table, dw)["memory"]
         ctx = PosteriorContext(mu0, muf, eps)
         for j in (50, 100, 150):
-            mean_r = -np.sqrt(eps) * memory[:, j]
-            post = posterior_mean_batch(ctx, ou2d_table, j, ens.states[:, j], mean_r)
+            # ens.memory is the observation model's -sqrt(eps) * memory term.
+            post = posterior_mean(ctx, ou2d_table, j, ens.states[:, j], ens.memory[:, j])
             gap = np.abs(post.mean(axis=0) - muf.mean)
             se = post.std(axis=0, ddof=1) / np.sqrt(n_paths)
             assert np.all(gap <= 3 * se), f"index {j}: gap {gap}, se {se}"

@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from avgflow import (
-    NearTerminalSingularityError,
     NotAveragedControllableError,
     TimeGrid,
     build_kernel_table,
     build_theta_ensemble,
     causal_convolve,
     load_theta_table,
-    matrix_exponential,
-    solve_gramian,
+    volterra_noise_terms,
 )
 
 
@@ -29,38 +28,52 @@ def _series_expm(a, t, terms=40):
     return out
 
 
+def constant_transition(a, grid):
+    """M(t_j) of the constant family, which the table accumulates as exp(A t_j)."""
+    a = np.asarray(a, dtype=float)
+    ens = build_theta_ensemble("constant", 2, a=a, b=np.eye(a.shape[0]))
+    return build_kernel_table(ens, grid).m_avg
+
+
 class TestMatrixExponential:
+    """The constant family's averaged transition is the matrix exponential."""
+
+    ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
+
     def test_zero_matrix(self):
-        np.testing.assert_array_equal(matrix_exponential(np.zeros((2, 2))), np.eye(2))
+        m = constant_transition(np.zeros((2, 2)), TimeGrid(1.0, 10))
+        np.testing.assert_array_equal(m, np.broadcast_to(np.eye(2), m.shape))
 
     def test_quarter_rotation(self):
-        j = np.array([[0.0, -1.0], [1.0, 0.0]])
-        np.testing.assert_allclose(
-            matrix_exponential(j, np.pi / 2), j, atol=1e-12
-        )
+        m = constant_transition(self.ROTATION, TimeGrid(np.pi / 2, 100))
+        np.testing.assert_allclose(m[-1], self.ROTATION, atol=1e-12)
 
     def test_unit_rotation_matches_series(self):
-        j = np.array([[0.0, -1.0], [1.0, 0.0]])
-        got = matrix_exponential(j, 1.0)
+        got = constant_transition(self.ROTATION, TimeGrid(1.0, 100))[-1]
         expected = np.array(
             [[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]]
         )
         np.testing.assert_allclose(got, expected, rtol=1e-12)
-        np.testing.assert_allclose(got, _series_expm(j, 1.0), rtol=1e-12)
+        np.testing.assert_allclose(got, _series_expm(self.ROTATION, 1.0), rtol=1e-12)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            matrix_exponential(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            build_theta_ensemble(
+                "constant", 2, a=[[np.nan, 0.0], [0.0, 0.0]], b=np.eye(2)
+            )
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_one_parameter_group_property(self, draw):
         rng = np.random.Generator(np.random.Philox(key=[draw, 0]))
         a = rng.normal(scale=0.8, size=(3, 3))
-        t1, t2 = rng.uniform(0.1, 1.5, size=2)
-        lhs = matrix_exponential(a, t1 + t2)
-        rhs = matrix_exponential(a, t1) @ matrix_exponential(a, t2)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-10, rtol=1e-10)
+        grid = TimeGrid(3.0, 60)
+        m = constant_transition(a, grid)
+        j1, j2 = rng.integers(2, 31, size=2)
+        np.testing.assert_allclose(m[j1 + j2], m[j1] @ m[j2], atol=1e-10, rtol=1e-10)
+        np.testing.assert_allclose(
+            m[j1], expm(a * grid.times[j1]), atol=1e-10, rtol=1e-10
+        )
 
 
 class TestThetaEnsemble:
@@ -162,7 +175,7 @@ class TestReductionToClassicalGramian:
     def test_kernel_is_matrix_exponential_times_b(self):
         for lag_index in (0, 57, 200, 400):
             lag = lag_index * self.table.grid.dt
-            expected = matrix_exponential(self.a, lag) @ self.b
+            expected = expm(self.a * lag) @ self.b
             np.testing.assert_allclose(
                 self.table.phi_lag[lag_index], expected, atol=1e-12
             )
@@ -175,31 +188,36 @@ class TestReductionToClassicalGramian:
         mid = 0.5 * (s[1:] + s[:-1])
         acc = np.zeros((2, 2))
         for sm in mid:
-            phi = matrix_exponential(self.a, t - sm) @ self.b
+            phi = expm(self.a * (t - sm)) @ self.b
             acc += phi @ phi.T
         acc *= (s[1] - s[0])
         np.testing.assert_allclose(self.table.g_fwd[j], acc, atol=5e-6)
 
 
 class TestSolveGramian:
+    """The backward Gramians and the factors that D's recursion solves with."""
+
     def test_scalar_inverse_halfway(self, const_table):
         n = const_table.n_steps
-        x = solve_gramian(const_table, n // 2, np.array([1.0, 0.0]))
+        x = np.linalg.solve(const_table.g_bwd[n // 2], [1.0, 0.0])
         np.testing.assert_allclose(x, [2.0, 0.0], atol=1e-12)
 
     def test_full_span_reciprocal(self, ou2d_fine):
-        x = solve_gramian(ou2d_fine, 0, np.array([1.0, 1.0]))
+        x = np.linalg.solve(ou2d_fine.g_bwd[0], [1.0, 1.0])
         np.testing.assert_allclose(x, [1.027994, 1.027994], atol=2e-5)
 
     def test_residual_bound(self, ou2d_table):
-        rhs = np.array([0.3, -1.2])
-        x = solve_gramian(ou2d_table, 50, rhs)
+        # One increment at step 50 moves D by G_{t_f,t_50}^{-1} Phi(t_f,t_50) dW.
+        n = ou2d_table.n_steps
+        dw = np.zeros((n, 2))
+        dw[50] = [0.3, -1.2]
+        rhs = ou2d_table.phi_lag[n - 50] @ dw[50]
+        x = volterra_noise_terms(ou2d_table, dw)["d_hist"][51]
         res = ou2d_table.g_bwd[50] @ x - rhs
         assert np.linalg.norm(res) <= 1e-8 * np.linalg.norm(rhs)
 
     def test_terminal_backward_gramian_is_singular(self, ou2d_table):
-        with pytest.raises(NearTerminalSingularityError):
-            solve_gramian(ou2d_table, ou2d_table.n_steps, np.array([1.0, 0.0]))
+        np.testing.assert_array_equal(ou2d_table.g_bwd[ou2d_table.n_steps], 0.0)
 
 
 class TestControllabilityGuard:

@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from avgflow import (
     DeterministicExactController,
@@ -43,6 +44,7 @@ from avgflow import (
     train_recurrent,
     write_manifest,
 )
+from avgflow.sim import _CDIST_BLOCK
 
 TARGET = np.array([1.0, 1.0])
 
@@ -384,8 +386,6 @@ class TestLawComparison:
         """The blocked matrix-product null equals the per-permutation sums
         over the pooled distance matrix, across a block boundary and after
         subsampling."""
-        from scipy.spatial.distance import cdist
-
         rng = np.random.default_rng(np.random.Philox(key=[4, 5150]))
         a = rng.standard_normal((40, 2))
         b = rng.standard_normal((30, 2)) + np.array([0.3, 0.0])
@@ -420,6 +420,15 @@ class TestLawComparison:
         np.testing.assert_allclose(
             energy_distance(a, b), energy_distance(b, a), rtol=1e-12
         )
+
+    def test_blocked_sums_match_direct_means(self):
+        # Both clouds span more than one cdist block.
+        rng = np.random.default_rng(np.random.Philox(key=[7, 5150]))
+        a = rng.standard_normal((_CDIST_BLOCK + 1476, 2))
+        b = rng.standard_normal((_CDIST_BLOCK + 476, 2)) + 0.3
+        direct = 2.0 * cdist(a, b).mean() - cdist(a, a).mean() - cdist(b, b).mean()
+        np.testing.assert_allclose(energy_distance(a, b), direct, rtol=1e-12, atol=0)
+        assert energy_distance(a, a.copy()) == 0.0
 
     def test_sliced_w2_translation_grows(self):
         rng = np.random.default_rng(np.random.Philox(key=[3, 5150]))
