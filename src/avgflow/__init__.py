@@ -20,11 +20,9 @@ from .bridge import (
 )
 from .coupling import (
     CouplingPlan,
-    TeacherSet,
     export_plan_csv,
     ot_assignment,
     product_plan,
-    teacher_controls,
 )
 from .distributions import (
     GaussianMixture,
@@ -78,7 +76,6 @@ from .sim import (
     PosteriorExactController,
     RecurrentController,
     RolloutEnsemble,
-    TeacherController,
     VolterraExactController,
     compare_laws,
     energy_distance,

@@ -30,8 +30,9 @@ continuous ones:
 
 Every function works on whole ensembles.  :func:`bridge_ensemble` pins many
 (x0, xf) pairs at once, and at eps = 0 its paths are the deterministic
-steering paths; :func:`bridge_controls` assembles the control law that it and
-the volterra-exact rollout controller share.
+steering paths, with no noise terms formed.  :func:`bridge_controls` is the
+one assembly of the steering law: the bridge, the exact deterministic and the
+volterra-exact rollout controllers all take their controls from it.
 """
 
 from dataclasses import dataclass
@@ -149,10 +150,18 @@ class BridgeEnsemble:
         return self.states[:, -1]
 
 
-def bridge_controls(table, residual, d_hist, epsilon):
+def steering_residual(table, x0s, xfs):
+    """(paths, d) residuals xf - M(t_f) x0 that the steering gain acts on."""
+    return xfs - x0s @ table.m_avg[table.n_steps].T
+
+
+def bridge_controls(table, residual, d_hist=None, epsilon=0.0):
     """Bridge controls of every path at every grid index,
 
         u(t_j) = K(t_j) (xf - M(t_f) x0) - sqrt(eps) Phi(t_f, t_j)^T D(t_j).
+
+    At eps = 0 this is the exact deterministic steering law, and the
+    correction is not formed (``d_hist`` may be None).
 
     :param residual: (paths, d) steering residuals xf - M(t_f) x0.
     :param d_hist: (paths, n+1, d) running corrections D(t_j).
@@ -160,26 +169,30 @@ def bridge_controls(table, residual, d_hist, epsilon):
         control is undefined there, and callers drop or blank it.
     """
     controls = np.einsum("jab,pb->pja", table.k_gain, residual)
-    controls -= np.sqrt(epsilon) * np.einsum(
-        "jab,pja->pjb", table.phi_lag[::-1], d_hist
-    )
+    if epsilon > 0:
+        controls -= np.sqrt(epsilon) * np.einsum(
+            "jab,pja->pjb", table.phi_lag[::-1], d_hist
+        )
     return controls
 
 
 def _bridge_chunk(table, x0s, xfs, dw, epsilon):
     n = table.n_steps
-    root = np.sqrt(epsilon)
-    terms = volterra_noise_terms(table, dw)
-    residual = xfs - x0s @ table.m_avg[n].T
+    # The noise terms come first, so that their peak memory is not stacked on
+    # the states.  At eps = 0 they vanish and are not formed.
+    terms = volterra_noise_terms(table, dw) if epsilon > 0 else None
+    residual = steering_residual(table, x0s, xfs)
     steer = cho_solve(table._chol_full, residual.T).T
-    states = (
-        np.einsum("jab,pb->pja", table.m_avg, x0s)
-        + np.einsum("jab,pb->pja", table.s_cross, steer)
-        + root * (terms["noise"] - terms["memory"])
+    states = np.einsum("jab,pb->pja", table.m_avg, x0s) + np.einsum(
+        "jab,pb->pja", table.s_cross, steer
     )
+    if terms is None:
+        zero = np.zeros_like(states)
+        return states, bridge_controls(table, residual), zero, zero
+    root = np.sqrt(epsilon)
+    states += root * (terms["noise"] - terms["memory"])
     controls = bridge_controls(table, residual, terms["d_hist"], epsilon)
-    if epsilon > 0:
-        controls[:, n] = np.nan
+    controls[:, n] = np.nan
     return states, controls, root * terms["noise"], -root * terms["memory"]
 
 

@@ -10,6 +10,9 @@ compares saved ensembles.
 ``flow``, ``train`` and ``simulate`` share one controller registry,
 ``_CONTROLLERS``: each name maps to its regime (the deterministic or the
 stochastic rollout driver), the model kind it trains or loads, and a builder.
+``teacher`` names the same controller as ``deterministic-exact``: the exact
+open-loop steering of the coupled pairs, whose controls are also the
+regression targets of the feed-forward model.
 All three commands draw their endpoint samples through one lazy pairing, so
 sampling, coupling and teacher bridges run only when a builder, trainer or
 rollout reads them.  ``--threads`` splits path chunks of the bridge
@@ -44,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .bridge import EndpointPair, bridge_ensemble, export_trajectory_csv
-from .coupling import export_plan_csv, ot_assignment, product_plan, teacher_controls
+from .coupling import export_plan_csv, ot_assignment, product_plan
 from .distributions import (
     GaussianMixture,
     point_mass,
@@ -77,7 +80,6 @@ from .sim import (
     GainController,
     PosteriorExactController,
     RecurrentController,
-    TeacherController,
     VolterraExactController,
     compare_laws,
     energy_distance_null,
@@ -159,10 +161,13 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_float(cfg, key, minimum=None):
     value = cfg[key]
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"'{key}' must be a number")
+    _require(_is_number(value), f"'{key}' must be a number")
     value = float(value)
     _require(np.isfinite(value), f"'{key}' must be finite")
     if minimum is not None:
@@ -194,10 +199,9 @@ def _validate_config(cfg):
     _as_int(cfg, "seed", 0)
     _as_float(cfg, "t_f", minimum=1e-12)
     _as_float(cfg, "epsilon", minimum=0.0)
-    _require(isinstance(cfg["epsilons"], list), "'epsilons' must be a list")
-    for e in cfg["epsilons"]:
-        _require(isinstance(e, (int, float)) and e >= 0,
-                 "'epsilons' entries must be nonnegative numbers")
+    _require(isinstance(cfg["epsilons"], list)
+             and all(_is_number(e) and 0 <= e < np.inf for e in cfg["epsilons"]),
+             "'epsilons' must be a list of finite nonnegative numbers")
     cfg["epsilons"] = [float(e) for e in cfg["epsilons"]]
     names = [f"trajectory_eps{e:g}.csv" for e in cfg["epsilons"]]
     _require(len(set(names)) == len(names),
@@ -212,7 +216,7 @@ def _validate_config(cfg):
              "'out_dir' must be a path string")
     for key in ("x0", "xf"):
         _require(isinstance(cfg[key], list) and len(cfg[key]) >= 1
-                 and all(isinstance(v, (int, float)) for v in cfg[key]),
+                 and all(_is_number(v) for v in cfg[key]),
                  f"'{key}' must be a list of numbers")
         cfg[key] = [float(v) for v in cfg[key]]
     train = _deep_merge(_TRAIN_DEFAULTS, cfg["train"] or {})
@@ -487,8 +491,8 @@ class _Pairs:
 
     @cached_property
     def teacher(self):
-        """Exact open-loop controls of the coupled pairs."""
-        return teacher_controls(self.table, self.x0s, self.samples.xfs, self.plan)
+        """Exact open-loop controls of the coupled pairs, (paths, n+1, m)."""
+        return DeterministicExactController(self.targets).open_loop(self.table, self.x0s)
 
     @cached_property
     def bridges(self):
@@ -508,12 +512,13 @@ _DET, _STO = "deterministic", "stochastic"
 # simulate loads, or None; build: (pairs, model) -> controller.
 _Entry = namedtuple("_Entry", "regime model build")
 
+_EXACT = _Entry(_DET, None, lambda p, m: DeterministicExactController(p.targets))
+
 _CONTROLLERS = {
-    "teacher": _Entry(_DET, None, lambda p, m: TeacherController(p.teacher.controls)),
+    "teacher": _EXACT,
     "learned-ffn": _Entry(_DET, "feedforward", lambda p, m: FeedforwardController(m)),
     "gain-model": _Entry(_DET, "gain", lambda p, m: GainController(m, p.targets)),
-    "deterministic-exact": _Entry(
-        _DET, None, lambda p, m: DeterministicExactController(p.targets)),
+    "deterministic-exact": _EXACT,
     "posterior-exact": _Entry(
         _STO, None, lambda p, m: PosteriorExactController(_single_gaussian(p.mu0), p.muf)),
     "learned-rnn": _Entry(_STO, "recurrent", lambda p, m: RecurrentController(m)),
@@ -524,7 +529,7 @@ _MODEL_CONTROLLERS = {e.model: name for name, e in _CONTROLLERS.items() if e.mod
 
 _TRAINERS = {
     "feedforward": lambda p, config: train_feedforward(
-        *flatten_endpoint_dataset(p.x0s, p.teacher.controls, p.table.grid.times), config),
+        *flatten_endpoint_dataset(p.x0s, p.teacher, p.table.grid.times), config),
     "recurrent": lambda p, config: train_recurrent(
         *sequence_dataset(p.x0s, p.bridges.noise, p.bridges.controls, p.table.grid.times),
         config),
@@ -562,7 +567,7 @@ def _record_coupling(run_dir, entry, pairs):
     if entry.regime == _DET and "plan" in vars(pairs):
         export_plan_csv(os.path.join(run_dir, "coupling_plan.csv"), pairs.plan)
         export_trajectory_csv(os.path.join(run_dir, "teacher_controls.csv"),
-                              pairs.table.grid, controls=pairs.teacher.controls)
+                              pairs.table.grid, controls=pairs.teacher)
 
 
 def _rollout(cfg, entry, controller, pairs, held_out=False):

@@ -1,5 +1,10 @@
 """Endpoint couplings for deterministic flow matching.
 
+This module only pairs: it decides which target sample each start is steered
+to.  The controls of a coupled pair come from the one steering law,
+:func:`avgflow.bridge.bridge_controls`, through the exact deterministic
+controller.
+
 Training pairs (x0_i, xf_i) can couple the endpoint samples two ways:
 
 * product coupling: independent draws.  Regression on such pairs can only
@@ -91,38 +96,6 @@ def product_plan(n):
         total_cost=0.0,
         kind="product",
     )
-
-
-@dataclass
-class TeacherSet:
-    """Per-pair open-loop controls used as regression targets.
-
-    ``controls[i, j]`` is the minimum-energy control of pair i at grid index
-    j; ``targets[i]`` is the coupled terminal point for source i.
-    """
-
-    x0s: np.ndarray
-    targets: np.ndarray
-    controls: np.ndarray
-    plan: CouplingPlan
-
-
-def teacher_controls(table, x0s, targets, plan=None):
-    """Materialize the exact steering controls for coupled pairs.
-
-    u_i(t_j) = K(t_j) (T(x0_i) - M(t_f) x0_i), where T maps each source to
-    its coupled target (plan permutation, or index-aligned when plan is None).
-    """
-    x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    if plan is None:
-        plan = product_plan(x0s.shape[0])
-    coupled = targets[plan.permutation]
-    if coupled.shape != x0s.shape:
-        raise ValueError("coupled targets and sources must align")
-    residual = coupled - x0s @ table.m_avg[table.n_steps].T
-    controls = np.einsum("jab,pb->pja", table.k_gain, residual)
-    return TeacherSet(x0s=x0s, targets=coupled, controls=controls, plan=plan)
 
 
 def export_plan_csv(path, plan):

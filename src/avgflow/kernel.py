@@ -185,7 +185,7 @@ def load_theta_table(path):
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read theta table {path!r}: {exc}") from exc
-    nodes = doc.get("nodes")
+    nodes = doc.get("nodes") if isinstance(doc, dict) else None
     if not isinstance(nodes, list) or len(nodes) < 2:
         raise ConfigError("theta table needs a 'nodes' list with >= 2 entries")
     try:
@@ -197,7 +197,13 @@ def load_theta_table(path):
     order = np.argsort(thetas)
     thetas, a_nodes, b_nodes = thetas[order], a_nodes[order], b_nodes[order]
     if "weights" in doc:
-        weights = np.asarray(doc["weights"], dtype=float)[order]
+        try:
+            weights = np.asarray(doc["weights"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed theta table weights: {exc}") from exc
+        if weights.shape != thetas.shape:
+            raise ConfigError("theta table needs one weight per node")
+        weights = weights[order]
     else:
         # Composite trapezoid on the provided nodes.
         weights = np.zeros_like(thetas)

@@ -435,40 +435,49 @@ def _split(data, val_fraction, rng):
     return train, (tuple(a[order[:n_val]] for a in data) if n_val else None)
 
 
+def endpoint_features(x0s, times):
+    """(x0, t) inputs of every path at every time, (N*T, d+1), path-major."""
+    x0s = np.asarray(x0s, float)
+    times = np.asarray(times, float)
+    rep_x0 = np.repeat(x0s, times.shape[0], axis=0)
+    rep_t = np.tile(times, x0s.shape[0])[:, None]
+    return np.concatenate([rep_x0, rep_t], axis=1)
+
+
 def flatten_endpoint_dataset(x0s, controls, times):
     """Stack per-path control tables into ((x0, t), u) regression rows.
 
     x0s (N, d), controls (N, T, m), times (T,) -> inputs (N*T, d+1),
     targets (N*T, m), path-major order.
     """
-    x0s = np.asarray(x0s, float)
     controls = np.asarray(controls, float)
-    times = np.asarray(times, float)
     n, t_count = controls.shape[0], controls.shape[1]
-    rep_x0 = np.repeat(x0s, t_count, axis=0)
-    rep_t = np.tile(times, n)[:, None]
-    inputs = np.concatenate([rep_x0, rep_t], axis=1)
-    targets = controls.reshape(n * t_count, -1)
-    return inputs, targets
+    return endpoint_features(x0s, times), controls.reshape(n * t_count, -1)
 
 
-def sequence_dataset(x0s, noise, controls, times):
-    """Per-path feature/target sequences for the recurrent trainer.
+def sequence_features(x0s, noise, times):
+    """Per-path feature sequences (x0, t_j, noise_j), (paths, n, d+1+d_noise).
 
-    Features at step j are (x0, t_j, noise_j) where noise is the accumulated
-    stochastic convolution term, scale included.  The terminal grid index is
-    dropped: the bridge control is undefined there.
+    ``noise`` (paths, n+1, d_noise) is the accumulated stochastic convolution
+    term, scale included.  The terminal grid index is dropped: the bridge
+    control is undefined there.
     """
     x0s = np.asarray(x0s, float)
     noise = np.asarray(noise, float)
-    controls = np.asarray(controls, float)
     times = np.asarray(times, float)
-    paths, t_count = controls.shape[0], controls.shape[1] - 1
+    paths, t_count = noise.shape[0], noise.shape[1] - 1
     feats = np.empty((paths, t_count, x0s.shape[1] + 1 + noise.shape[2]))
     feats[:, :, : x0s.shape[1]] = x0s[:, None, :]
     feats[:, :, x0s.shape[1]] = times[None, :t_count]
     feats[:, :, x0s.shape[1] + 1 :] = noise[:, :t_count, :]
-    return feats, controls[:, :t_count, :]
+    return feats
+
+
+def sequence_dataset(x0s, noise, controls, times):
+    """Per-path feature/target sequences for the recurrent trainer: the
+    :func:`sequence_features` and the controls without their terminal row."""
+    controls = np.asarray(controls, float)
+    return sequence_features(x0s, noise, times), controls[:, :-1, :]
 
 
 def _eval_loss(model, inputs, targets, chunk):

@@ -8,8 +8,8 @@ state from stored histories (convolution form):
 for the stochastic scheme (left-point), and the trapezoid-weighted control
 convolution for the noise-free scheme.  Controllers fall into three kinds:
 
-* open loop in (x0, t): teacher tables, exact deterministic steering, the
-  feedforward and gain models; usable in both rollout drivers;
+* open loop in (x0, t): exact deterministic steering, the feedforward and
+  gain models; usable in both rollout drivers;
 * noise feedback: precomputable from the per-path noise histories (exact
   Volterra bridge control, the recurrent model);
 * state feedback: the posterior-steered control, which needs the realized
@@ -32,10 +32,12 @@ from .bridge import (
     _run_chunks,
     bridge_controls,
     sample_increments,
+    steering_residual,
     volterra_noise_terms,
 )
 from .distributions import PosteriorContext, posterior_mean
 from .kernel import causal_convolve
+from .learn import endpoint_features, sequence_features
 
 CHECKPOINT_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 SLICED_W2_PROJECTIONS = 128
@@ -95,11 +97,10 @@ class DeterministicExactController:
             targets = np.broadcast_to(targets, x0s.shape)
         if targets.shape != x0s.shape:
             raise ValueError("targets and x0s must pair up one to one")
-        return targets - x0s @ table.m_avg[table.n_steps].T
+        return steering_residual(table, x0s, targets)
 
     def open_loop(self, table, x0s):
-        residual = self._residual(table, x0s)
-        return np.einsum("jab,pb->pja", table.k_gain, residual)
+        return bridge_controls(table, self._residual(table, x0s))
 
 
 class VolterraExactController(DeterministicExactController):
@@ -114,20 +115,6 @@ class VolterraExactController(DeterministicExactController):
         return controls[:, : table.n_steps]
 
 
-class TeacherController:
-    """Replays a precomputed per-path control table (coupling teacher)."""
-
-    tag = "teacher"
-
-    def __init__(self, controls):
-        self.controls = np.asarray(controls, dtype=float)
-
-    def open_loop(self, table, x0s):
-        if self.controls.shape[0] != x0s.shape[0]:
-            raise ValueError("teacher table and x0s disagree on path count")
-        return self.controls
-
-
 class FeedforwardController:
     """Evaluates a trained (x0, t) -> u model on the whole grid."""
 
@@ -137,14 +124,8 @@ class FeedforwardController:
         self.model = model
 
     def open_loop(self, table, x0s):
-        times = table.grid.times
-        paths, t_count = x0s.shape[0], times.shape[0]
-        inputs = np.concatenate(
-            [np.repeat(x0s, t_count, axis=0), np.tile(times, paths)[:, None]],
-            axis=1,
-        )
-        out = self.model.forward(inputs)
-        return out.reshape(paths, t_count, -1)
+        out = self.model.forward(endpoint_features(x0s, table.grid.times))
+        return out.reshape(x0s.shape[0], table.grid.times.shape[0], -1)
 
 
 class GainController(DeterministicExactController):
@@ -171,13 +152,8 @@ class RecurrentController:
         self.batch_size = batch_size
 
     def stochastic_controls(self, table, x0s, epsilon, noise_data):
-        from .learn import sequence_dataset
-
         scaled = np.sqrt(epsilon) * noise_data["noise"]
-        dummy_targets = np.zeros(
-            (x0s.shape[0], table.n_steps + 1, self.model.output_size)
-        )
-        feats, _ = sequence_dataset(x0s, scaled, dummy_targets, table.grid.times)
+        feats = sequence_features(x0s, scaled, table.grid.times)
         out = np.empty((x0s.shape[0], table.n_steps, self.model.output_size))
         for lo in range(0, feats.shape[0], self.batch_size):
             out[lo : lo + self.batch_size] = self.model.forward(
@@ -208,7 +184,7 @@ class PosteriorExactController:
     def control_step(self, table, t_index, states, x0s, d_hist, epsilon, mean_r):
         ctx = self._context(epsilon)
         post = posterior_mean(ctx, table, t_index, states, mean_r)
-        residual = post - x0s @ table.m_avg[table.n_steps].T
+        residual = steering_residual(table, x0s, post)
         controls = np.einsum("ab,pb->pa", table.k_gain[t_index], residual)
         if epsilon > 0:
             controls = controls - np.sqrt(epsilon) * np.einsum(
@@ -287,16 +263,16 @@ def rollout_stochastic(table, controller, x0s, epsilon, seed, threads=1):
     dt = table.grid.dt
     root = np.sqrt(epsilon)
     dw = sample_increments(table.grid, m, seed, paths)
+    if epsilon > 0:
+        noise_data = volterra_noise_terms(table, dw)
+    else:
+        noise_data = _zero_noise_data(paths, table)
 
     if hasattr(controller, "control_step"):
         states, controls = _rollout_sequential(
-            table, controller, x0s, epsilon, dw
+            table, controller, x0s, epsilon, dw, noise_data
         )
     else:
-        if epsilon > 0:
-            noise_data = volterra_noise_terms(table, dw)
-        else:
-            noise_data = _zero_noise_data(paths, table)
         if hasattr(controller, "stochastic_controls"):
             u = np.asarray(
                 controller.stochastic_controls(table, x0s, epsilon, noise_data),
@@ -334,19 +310,16 @@ def rollout_stochastic(table, controller, x0s, epsilon, seed, threads=1):
     )
 
 
-def _rollout_sequential(table, controller, x0s, epsilon, dw):
+def _rollout_sequential(table, controller, x0s, epsilon, dw, noise_data):
     """One-index-at-a-time driver for state-feedback controllers, O(n^2)."""
     paths = x0s.shape[0]
     n, m = table.n_steps, table.dim_control
     dt = table.grid.dt
     root = np.sqrt(epsilon)
-    if epsilon > 0:
-        noise_data = volterra_noise_terms(table, dw)
-        # The posterior's memory term is -sqrt(eps) * memory; scaled in place.
-        noise_data["memory"] *= -root
-    else:
-        noise_data = _zero_noise_data(paths, table)
     d_hist, mean_r = noise_data["d_hist"], noise_data["memory"]
+    if epsilon > 0:
+        # The posterior's memory term is -sqrt(eps) * memory; scaled in place.
+        mean_r *= -root
     states = np.einsum("jab,pb->pja", table.m_avg, x0s)
     controls = np.full((paths, n + 1, m), np.nan)
     for j in range(n):

@@ -27,7 +27,6 @@ from avgflow import (
     PosteriorContext,
     RecurrentController,
     RecurrentModel,
-    TeacherController,
     TimeGrid,
     TrainConfig,
     bridge_ensemble,
@@ -47,7 +46,6 @@ from avgflow import (
     sample,
     sequence_dataset,
     single_gaussian,
-    teacher_controls,
     train_feedforward,
     train_gain,
     train_recurrent,
@@ -388,11 +386,11 @@ def test_criterion_09_teacher_rollout_fidelity(ou2d_table, record):
     for name, muf in (("bimodal", bimodal), ("ring", ring)):
         pairs = product_pairs(mu0, muf, 1000, seed=14)
         plan = ot_assignment(pairs.x0s, pairs.xfs)
-        teacher = teacher_controls(ou2d_table, pairs.x0s, pairs.xfs, plan)
+        coupled = pairs.xfs[plan.permutation]
         rollout = rollout_deterministic(
-            ou2d_table, TeacherController(teacher.controls), pairs.x0s
+            ou2d_table, DeterministicExactController(coupled), pairs.x0s
         )
-        worst[name] = np.abs(rollout.terminal - pairs.xfs[plan.permutation]).max()
+        worst[name] = np.abs(rollout.terminal - coupled).max()
     top = max(worst.values())
     record(
         f"criterion 09: {'PASS' if top <= 1e-3 else 'FAIL'}"
@@ -436,10 +434,12 @@ def test_criterion_11_coupling_dichotomy(ou2d_table, record):
     )
     models = {}
     for kind in ("product", "ot"):
-        plan = ot_assignment(pairs.x0s, pairs.xfs) if kind == "ot" else None
-        teacher = teacher_controls(ou2d_table, pairs.x0s, pairs.xfs, plan)
+        coupled = pairs.xfs
+        if kind == "ot":
+            coupled = coupled[ot_assignment(pairs.x0s, pairs.xfs).permutation]
+        controls = DeterministicExactController(coupled).open_loop(ou2d_table, pairs.x0s)
         inputs, targets = flatten_endpoint_dataset(
-            pairs.x0s, teacher.controls, ou2d_table.grid.times
+            pairs.x0s, controls, ou2d_table.grid.times
         )
         models[kind], _ = train_feedforward(inputs, targets, config)
 

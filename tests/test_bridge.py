@@ -278,6 +278,17 @@ class TestBridgeEnsemble:
         )
         np.testing.assert_array_equal(ens.terminal, ens.states[:, -1])
 
+    def test_epsilon_zero_skips_noise_terms(self, ou2d_table, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("volterra_noise_terms called at eps = 0")
+
+        monkeypatch.setattr("avgflow.bridge.volterra_noise_terms", refuse)
+        x0s = np.tile(PAIR.x0, (3, 1))
+        xfs = np.tile(PAIR.xf, (3, 1))
+        ens = bridge_ensemble(ou2d_table, x0s, xfs, 0.0, seed=2)
+        assert not ens.noise.any() and not ens.memory.any()
+        np.testing.assert_allclose(ens.terminal, xfs, atol=1e-12)
+
     def test_epsilon_validation(self, ou2d_table):
         with pytest.raises(ValueError, match="epsilon"):
             bridge_ensemble(

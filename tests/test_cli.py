@@ -92,6 +92,23 @@ class TestKernelCommand:
         assert code == 2
         assert "n_steps" in capsys.readouterr().err
 
+    NODES = [{"theta": 0.0, "A": [[0.0]], "B": [[1.0]]},
+             {"theta": 1.0, "A": [[-1.0]], "B": [[1.0]]}]
+
+    @pytest.mark.parametrize("table, message", [
+        (NODES, "needs a 'nodes' list"),
+        ({"nodes": NODES, "weights": [1.0]}, "one weight per node"),
+        ({"nodes": NODES, "weights": ["half", "half"]}, "malformed theta table weights"),
+    ], ids=["json-list", "short-weights", "text-weights"])
+    def test_malformed_theta_table_exits_2(
+            self, table, message, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "nodes.json"
+        path.write_text(json.dumps(table))
+        code = invoke(monkeypatch, tmp_path, "kernel",
+                      {"n_steps": 20, "theta_table": str(path)})
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_unknown_config_key_exits_2(self, tmp_path, monkeypatch, capsys):
         code = invoke(monkeypatch, tmp_path, "kernel", {"frobnicate": 1})
         assert code == 2
@@ -304,11 +321,19 @@ class TestConfigTypes:
         ("flow", "metric", "n_permutations", "abc"),
         ("flow", "metric", "n_projections", 2.5),
         ("flow", "metric", "max_energy_distance", "big"),
+        pytest.param("bridge", None, "epsilons", [float("inf")], id="epsilons-inf"),
+        pytest.param("bridge", None, "epsilons", [True], id="epsilons-true"),
+        pytest.param("bridge", None, "x0", [True, 0.0], id="x0-true"),
+        pytest.param("bridge", None, "xf", [1.0, False], id="xf-false"),
     ])
     def test_mistyped_field_exits_2(
         self, command, section, field, value, tmp_path, monkeypatch, capsys
     ):
-        config = {"n_steps": 20, "n_samples": 8, section: {field: value}}
+        config = {"n_steps": 20, "n_samples": 8}
+        if section is None:
+            config[field] = value
+        else:
+            config[section] = {field: value}
         if command == "train":
             config["model"] = "gain"
         code = invoke(monkeypatch, tmp_path, command, config, extra=["--strict"])
@@ -409,6 +434,17 @@ class TestControllerRegistry:
         monkeypatch.setattr("avgflow.cli.ot_assignment", refuse)
         config = dict(self.config(name, checkpoints), coupling="ot")
         assert invoke(monkeypatch, tmp_path, command, config) == 0
+
+    def test_teacher_and_deterministic_exact_flows_agree(self, tmp_path, monkeypatch):
+        dirs = {}
+        for name in ("teacher", "deterministic-exact"):
+            root = tmp_path / name
+            assert invoke(monkeypatch, root, "flow", dict(self.BASE, controller=name)) == 0
+            dirs[name] = only_run_dir(root, "flow")
+        for file in ("rollout.csv", "teacher_controls.csv", "coupling_plan.csv",
+                     "metrics.csv"):
+            assert (dirs["teacher"] / file).read_bytes() == (
+                dirs["deterministic-exact"] / file).read_bytes(), file
 
     def test_simulate_posterior_needs_single_gaussian_start(
             self, tmp_path, monkeypatch, capsys):

@@ -1,4 +1,4 @@
-"""Endpoint couplings and the teacher control table built from them."""
+"""Endpoint couplings and the exact steering controls of coupled pairs."""
 
 import itertools
 
@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from avgflow import (
+    DeterministicExactController,
     export_plan_csv,
     ot_assignment,
     product_plan,
     rollout_deterministic,
-    teacher_controls,
 )
-from avgflow.sim import TeacherController
 
 
 def brute_force_cost(sources, targets):
@@ -86,19 +85,27 @@ class TestOtAssignment:
         assert plan.kind == "product"
 
 
+def coupled_controls(table, x0s, targets, plan=None):
+    """Exact open-loop controls of the pairs (x0_i, targets[plan[i]])."""
+    if plan is None:
+        plan = product_plan(x0s.shape[0])
+    coupled = targets[plan.permutation]
+    return coupled, DeterministicExactController(coupled).open_loop(table, x0s)
+
+
 class TestTeacherControls:
     def test_constant_family_straight_lines(self, const_table):
         x0s = np.array([[0.0, 0.0], [1.0, -1.0]])
         targets = np.array([[0.0, 1.0], [1.0, 0.0]])
-        teacher = teacher_controls(const_table, x0s, targets)
+        _, controls = coupled_controls(const_table, x0s, targets)
         n1 = const_table.n_steps + 1
         np.testing.assert_allclose(
-            teacher.controls[0],
+            controls[0],
             np.broadcast_to([0.0, 1.0], (n1, 2)),
             atol=1e-12,
         )
         np.testing.assert_allclose(
-            teacher.controls[1],
+            controls[1],
             np.broadcast_to([0.0, 1.0], (n1, 2)),
             atol=1e-12,
         )
@@ -107,22 +114,22 @@ class TestTeacherControls:
         x0s = np.array([[0.7, -0.4], [0.2, 0.9]])
         n = ou2d_table.n_steps
         targets = x0s @ ou2d_table.m_avg[n].T
-        teacher = teacher_controls(ou2d_table, x0s, targets, plan=product_plan(2))
-        np.testing.assert_allclose(teacher.controls, 0.0, atol=1e-12)
+        _, controls = coupled_controls(ou2d_table, x0s, targets, plan=product_plan(2))
+        np.testing.assert_allclose(controls, 0.0, atol=1e-12)
 
     def test_matches_per_pair_deterministic_control(self, ou2d_table):
         rng = np.random.Generator(np.random.Philox(key=[65, 0]))
         x0s = rng.normal(size=(6, 2))
         targets = rng.normal(size=(6, 2)) + [1.0, 1.0]
-        teacher = teacher_controls(ou2d_table, x0s, targets)
+        coupled, controls = coupled_controls(ou2d_table, x0s, targets)
         n = ou2d_table.n_steps
         for i in range(6):
             # u(t_j) = Phi(t_f, t_j)^T G_{t_f,0}^{-1} (xf - M(t_f) x0)
-            residual = targets[teacher.plan.permutation[i]] - ou2d_table.m_avg[n] @ x0s[i]
+            residual = coupled[i] - ou2d_table.m_avg[n] @ x0s[i]
             steer = np.linalg.solve(ou2d_table.g_fwd[n], residual)
             for j in (0, 57, 200):
                 np.testing.assert_allclose(
-                    teacher.controls[i, j],
+                    controls[i, j],
                     ou2d_table.phi_lag[n - j].T @ steer,
                     atol=1e-12,
                 )
@@ -131,11 +138,10 @@ class TestTeacherControls:
         rng = np.random.Generator(np.random.Philox(key=[66, 0]))
         x0s = rng.normal(size=(8, 2)) * 0.3
         targets = rng.normal(size=(8, 2)) * 0.3 + [1.0, 1.0]
-        teacher = teacher_controls(ou2d_table, x0s, targets)
+        coupled, _ = coupled_controls(ou2d_table, x0s, targets)
         ens = rollout_deterministic(
-            ou2d_table, TeacherController(teacher.controls), x0s
+            ou2d_table, DeterministicExactController(coupled), x0s
         )
-        coupled = targets[teacher.plan.permutation]
         err = np.max(np.abs(ens.states[:, -1] - coupled))
         assert err <= 1e-3
 
@@ -144,9 +150,9 @@ class TestTeacherControls:
         targets = np.array([[1.0, 1.0], [0.0, 0.0]])
         swap = ot_assignment(x0s, targets)
         keep = product_plan(2)
-        swapped = teacher_controls(ou2d_table, x0s, targets, plan=swap)
-        kept = teacher_controls(ou2d_table, x0s, targets, plan=keep)
-        assert not np.allclose(swapped.controls, kept.controls)
+        _, swapped = coupled_controls(ou2d_table, x0s, targets, plan=swap)
+        _, kept = coupled_controls(ou2d_table, x0s, targets, plan=keep)
+        assert not np.allclose(swapped, kept)
         np.testing.assert_array_equal(swap.permutation, [1, 0])
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from avgflow import (
     ConfigError,
+    DeterministicExactController,
     FeedforwardModel,
     GainModel,
     RecurrentModel,
@@ -22,7 +23,6 @@ from avgflow import (
     save_model,
     sequence_dataset,
     single_gaussian,
-    teacher_controls,
     train_feedforward,
     train_gain,
     train_recurrent,
@@ -121,9 +121,11 @@ class TestFeedforward:
         muf = single_gaussian([1.0, 1.0], 0.04 * np.eye(2))
         pairs = product_pairs(mu0, muf, 1000, seed=72)
         plan = ot_assignment(pairs.x0s, pairs.xfs)
-        teacher = teacher_controls(ou2d_fine, pairs.x0s, pairs.xfs, plan=plan)
+        controls = DeterministicExactController(
+            pairs.xfs[plan.permutation]
+        ).open_loop(ou2d_fine, pairs.x0s)
         inputs, targets = flatten_endpoint_dataset(
-            pairs.x0s, teacher.controls, ou2d_fine.grid.times
+            pairs.x0s, controls, ou2d_fine.grid.times
         )
         model, report = train_feedforward(
             inputs, targets, TrainConfig(epochs=3, seed=5)

@@ -19,7 +19,6 @@ from avgflow import (
     MetricsReport,
     PosteriorExactController,
     RecurrentController,
-    TeacherController,
     TimeGrid,
     TrainConfig,
     VolterraExactController,
@@ -38,7 +37,6 @@ from avgflow import (
     sample,
     single_gaussian,
     sliced_w2,
-    teacher_controls,
     train_feedforward,
     train_gain,
     train_recurrent,
@@ -98,22 +96,6 @@ class TestDeterministicRollouts:
         )
         np.testing.assert_array_equal(result.terminal, result.states[:, -1])
         np.testing.assert_allclose(result.terminal[0], TARGET, atol=1e-12)
-
-    def test_teacher_controller_replays_recorded_controls(self, ou2d_table):
-        x0s = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-        exact = rollout_deterministic(
-            ou2d_table, DeterministicExactController(TARGET), x0s
-        )
-        replay = rollout_deterministic(
-            ou2d_table, TeacherController(exact.controls), x0s
-        )
-        np.testing.assert_array_equal(replay.states, exact.states)
-        assert replay.controller_tag == "teacher"
-
-    def test_teacher_path_count_must_match(self, ou2d_table):
-        controls = np.zeros((2, ou2d_table.n_steps + 1, 2))
-        with pytest.raises(ValueError, match="disagree on path count"):
-            rollout_deterministic(ou2d_table, TeacherController(controls), np.zeros((3, 2)))
 
     def test_gain_controller_zero_residual_zero_control(self, ou2d_table):
         """Targets equal to the free-flow terminal leave nothing to steer."""
@@ -477,9 +459,9 @@ class TestMeanCollapseReproduction:
         mu0 = single_gaussian([1.0, 0.0], 0.0025 * np.eye(2))
         muf = single_gaussian(TARGET, 0.04 * np.eye(2))
         pairs = product_pairs(mu0, muf, 600, seed=42)
-        teacher = teacher_controls(table, pairs.x0s, pairs.xfs)
+        controls = DeterministicExactController(pairs.xfs).open_loop(table, pairs.x0s)
         inputs, targets = flatten_endpoint_dataset(
-            pairs.x0s, teacher.controls, table.grid.times
+            pairs.x0s, controls, table.grid.times
         )
         model, _ = train_feedforward(
             inputs, targets, TrainConfig(epochs=80, late_learning_rate=2e-4, seed=3)
