@@ -11,8 +11,8 @@ laws to teacher data (``learn``), and rolls out and evaluates the closed loop
 """
 
 from .bridge import (
-    BridgeEnsemble,
     EndpointPair,
+    PathEnsemble,
     bridge_ensemble,
     export_trajectory_csv,
     sample_increments,
@@ -75,7 +75,6 @@ from .sim import (
     MetricsReport,
     PosteriorExactController,
     RecurrentController,
-    RolloutEnsemble,
     VolterraExactController,
     compare_laws,
     energy_distance,

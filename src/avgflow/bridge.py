@@ -33,6 +33,8 @@ Every function works on whole ensembles.  :func:`bridge_ensemble` pins many
 steering paths, with no noise terms formed.  :func:`bridge_controls` is the
 one assembly of the steering law: the bridge, the exact deterministic and the
 volterra-exact rollout controllers all take their controls from it.
+:class:`PathEnsemble` is the one record of paths on a grid: the bridges here
+and the rollouts of :mod:`avgflow.sim` return it.
 """
 
 from dataclasses import dataclass
@@ -132,18 +134,18 @@ def volterra_noise_terms(table, increments):
 
 
 @dataclass
-class BridgeEnsemble:
-    """Stacked bridge paths sharing a kernel table and noise seed."""
+class PathEnsemble:
+    """Paths on one grid, from a bridge ensemble or a rollout.
 
-    states: np.ndarray      # (paths, n+1, d)
-    controls: np.ndarray    # (paths, n+1, m), last row NaN when eps > 0
-    increments: np.ndarray  # (paths, n, m)
-    noise: np.ndarray       # (paths, n+1, d) pure-noise term incl. sqrt(eps)
-    memory: np.ndarray      # (paths, n+1, d) memory term incl. -sqrt(eps)
-    x0s: np.ndarray         # (paths, d)
-    xfs: np.ndarray         # (paths, d)
-    epsilon: float
-    seed: int
+    ``controls`` row n is NaN under noise, where the bridge-style control is
+    undefined; deterministic paths fill it.  ``noise`` is a bridge's pure-noise
+    term sqrt(eps) int_0^t Phi(t, tau) dW(tau), the feature of the recurrent
+    trainer; rollouts leave it None.
+    """
+
+    states: np.ndarray          # (paths, n+1, d)
+    controls: np.ndarray        # (paths, n+1, m)
+    noise: np.ndarray = None    # (paths, n+1, d)
 
     @property
     def terminal(self):
@@ -187,13 +189,14 @@ def _bridge_chunk(table, x0s, xfs, dw, epsilon):
         "jab,pb->pja", table.s_cross, steer
     )
     if terms is None:
-        zero = np.zeros_like(states)
-        return states, bridge_controls(table, residual), zero, zero
+        return states, bridge_controls(table, residual), np.zeros_like(states)
     root = np.sqrt(epsilon)
-    states += root * (terms["noise"] - terms["memory"])
+    noise = terms["noise"]
+    states += root * (noise - terms["memory"])
+    noise *= root
     controls = bridge_controls(table, residual, terms["d_hist"], epsilon)
     controls[:, n] = np.nan
-    return states, controls, root * terms["noise"], -root * terms["memory"]
+    return states, controls, noise
 
 
 def bridge_ensemble(table, x0s, xfs, epsilon, seed, threads=1):
@@ -219,21 +222,8 @@ def bridge_ensemble(table, x0s, xfs, epsilon, seed, threads=1):
 
     slices = _path_slices(paths, threads)
     results = _run_chunks(run, slices, threads)
-    states = np.concatenate([r[0] for r in results])
-    controls = np.concatenate([r[1] for r in results])
-    noise = np.concatenate([r[2] for r in results])
-    memory = np.concatenate([r[3] for r in results])
-    return BridgeEnsemble(
-        states=states,
-        controls=controls,
-        increments=dw,
-        noise=noise,
-        memory=memory,
-        x0s=x0s,
-        xfs=xfs,
-        epsilon=epsilon,
-        seed=seed,
-    )
+    states, controls, noise = (np.concatenate(block) for block in zip(*results))
+    return PathEnsemble(states, controls, noise)
 
 
 def _path_slices(paths, threads):

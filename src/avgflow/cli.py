@@ -8,8 +8,12 @@ stage, ``simulate`` rolls out a configured controller, and ``metrics``
 compares saved ensembles.
 
 ``flow``, ``train`` and ``simulate`` share one controller registry,
-``_CONTROLLERS``: each name maps to its regime (the deterministic or the
-stochastic rollout driver), the model kind it trains or loads, and a builder.
+``_CONTROLLERS``, and the config's ``controller`` is their one selector: each
+name maps to its regime (the deterministic or the stochastic rollout driver),
+the model kind it trains or loads, and a builder.  ``flow`` trains a learned
+controller's model and rolls it out, ``train`` only fits it, and ``simulate``
+loads it from ``checkpoint``; ``train`` of a controller without a model
+(an exact one) is a configuration error.
 ``teacher`` names the same controller as ``deterministic-exact``: the exact
 open-loop steering of the coupled pairs, whose controls are also the
 regression targets of the feed-forward model.
@@ -130,7 +134,6 @@ _DEFAULTS = {
     "coupling": "ot",
     "controller": "posterior-exact",
     "n_samples": 256,
-    "model": None,
     "checkpoint": None,
     "left": None,
     "right": None,
@@ -165,10 +168,18 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _float(value):
+    """float(value), with an integer too large for a float mapped to +-inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return np.inf if value > 0 else -np.inf
+
+
 def _as_float(cfg, key, minimum=None):
     value = cfg[key]
     _require(_is_number(value), f"'{key}' must be a number")
-    value = float(value)
+    value = _float(value)
     _require(np.isfinite(value), f"'{key}' must be finite")
     if minimum is not None:
         _require(value >= minimum, f"'{key}' must be >= {minimum}")
@@ -200,7 +211,7 @@ def _validate_config(cfg):
     _as_float(cfg, "t_f", minimum=1e-12)
     _as_float(cfg, "epsilon", minimum=0.0)
     _require(isinstance(cfg["epsilons"], list)
-             and all(_is_number(e) and 0 <= e < np.inf for e in cfg["epsilons"]),
+             and all(_is_number(e) and 0 <= _float(e) < np.inf for e in cfg["epsilons"]),
              "'epsilons' must be a list of finite nonnegative numbers")
     cfg["epsilons"] = [float(e) for e in cfg["epsilons"]]
     names = [f"trajectory_eps{e:g}.csv" for e in cfg["epsilons"]]
@@ -210,14 +221,12 @@ def _validate_config(cfg):
              "'coupling' must be 'ot' or 'product'")
     _require(cfg["controller"] in _CONTROLLERS,
              f"unknown controller {cfg['controller']!r}")
-    if cfg["model"] is not None:
-        _require(cfg["model"] in _MODEL_CONTROLLERS, f"unknown model kind {cfg['model']!r}")
     _require(cfg["out_dir"] is None or isinstance(cfg["out_dir"], str),
              "'out_dir' must be a path string")
     for key in ("x0", "xf"):
         _require(isinstance(cfg[key], list) and len(cfg[key]) >= 1
-                 and all(_is_number(v) for v in cfg[key]),
-                 f"'{key}' must be a list of numbers")
+                 and all(_is_number(v) and np.isfinite(_float(v)) for v in cfg[key]),
+                 f"'{key}' must be a list of finite numbers")
         cfg[key] = [float(v) for v in cfg[key]]
     train = _deep_merge(_TRAIN_DEFAULTS, cfg["train"] or {})
     unknown = set(train) - set(_TRAIN_DEFAULTS)
@@ -289,7 +298,7 @@ def _mixture(spec, what):
             return GaussianMixture(
                 np.asarray(spec["weights"], dtype=float), means, covs
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad '{what}' spec: {exc}") from exc
     raise ConfigError(f"unknown mixture type {kind!r} in '{what}'")
 
@@ -508,8 +517,8 @@ def _single_gaussian(mixture):
 
 
 _DET, _STO = "deterministic", "stochastic"
-# regime: _DET or _STO, the rollout driver; model: the kind flow trains and
-# simulate loads, or None; build: (pairs, model) -> controller.
+# regime: _DET or _STO, the rollout driver; model: the kind flow and train fit
+# and simulate loads, or None; build: (pairs, model) -> controller.
 _Entry = namedtuple("_Entry", "regime model build")
 
 _EXACT = _Entry(_DET, None, lambda p, m: DeterministicExactController(p.targets))
@@ -524,8 +533,6 @@ _CONTROLLERS = {
     "learned-rnn": _Entry(_STO, "recurrent", lambda p, m: RecurrentController(m)),
     "volterra-exact": _Entry(_STO, None, lambda p, m: VolterraExactController(p.targets)),
 }
-# A config's 'model' key names a kind and so the controller that uses it.
-_MODEL_CONTROLLERS = {e.model: name for name, e in _CONTROLLERS.items() if e.model}
 
 _TRAINERS = {
     "feedforward": lambda p, config: train_feedforward(
@@ -546,9 +553,10 @@ def _fit(cfg, run_dir, kind, pairs):
     return model, checkpoint
 
 
-def _controller(cfg, name, pairs, run_dir=None):
+def _controller(cfg, pairs, run_dir=None):
     """(controller, checkpoint written or None).  The model is trained into
     ``run_dir``, or without one loaded from the configured checkpoint."""
+    name = cfg["controller"]
     entry = _CONTROLLERS[name]
     model = checkpoint = None
     if entry.model and run_dir:
@@ -602,7 +610,7 @@ def _apply_metric_gate(cfg, args, observed, left_cloud, right_cloud):
     if not args.strict:
         return
     metric = cfg["metric"]
-    _, null = energy_distance_null(
+    null = energy_distance_null(
         left_cloud, right_cloud,
         n_permutations=metric["n_permutations"],
         seed=cfg["seed"],
@@ -623,13 +631,9 @@ def _apply_metric_gate(cfg, args, observed, left_cloud, right_cloud):
 
 def cmd_flow(cfg, run_dir, stamp, args):
     _, grid, table = _build_table(cfg)
-    name = _MODEL_CONTROLLERS[cfg["model"]] if cfg["model"] else cfg["controller"]
-    entry = _CONTROLLERS[name]
-    regime = _CONTROLLERS[cfg["controller"]].regime
-    _require(entry.regime == regime,
-             f"model {cfg['model']!r} does not fit the {regime} pipeline")
+    entry = _CONTROLLERS[cfg["controller"]]
     pairs = _Pairs(cfg, table, args.threads)
-    controller, checkpoint = _controller(cfg, name, pairs, run_dir)
+    controller, checkpoint = _controller(cfg, pairs, run_dir)
     _record_coupling(run_dir, entry, pairs)
     rollout = _rollout(cfg, entry, controller, pairs, held_out=True)
     export_trajectory_csv(os.path.join(run_dir, "rollout.csv"), grid,
@@ -651,15 +655,17 @@ def cmd_flow(cfg, run_dir, stamp, args):
 
 
 def cmd_train(cfg, run_dir, stamp, args):
-    _require(cfg["model"] in _MODEL_CONTROLLERS,
-             "the train command needs 'model': feedforward | recurrent | gain")
+    entry = _CONTROLLERS[cfg["controller"]]
+    _require(entry.model, "the train command needs a learned 'controller': "
+             f"{' | '.join(n for n, e in _CONTROLLERS.items() if e.model)}; "
+             f"{cfg['controller']!r} has no model")
     _, _, table = _build_table(cfg)
     pairs = _Pairs(cfg, table, args.threads)
-    _, checkpoint = _fit(cfg, run_dir, cfg["model"], pairs)
-    _record_coupling(run_dir, _CONTROLLERS[_MODEL_CONTROLLERS[cfg["model"]]], pairs)
+    _, checkpoint = _fit(cfg, run_dir, entry.model, pairs)
+    _record_coupling(run_dir, entry, pairs)
     _manifest(run_dir, cfg, "train", stamp, extra={
         "checkpoint": checkpoint,
-        "model": cfg["model"],
+        "model": entry.model,
         "outputs": sorted(os.listdir(run_dir)),
     })
     print(f"model checkpoint written to {checkpoint}")
@@ -670,7 +676,7 @@ def cmd_simulate(cfg, run_dir, stamp, args):
     _, grid, table = _build_table(cfg)
     entry = _CONTROLLERS[cfg["controller"]]
     pairs = _Pairs(cfg, table, args.threads)
-    controller, _ = _controller(cfg, cfg["controller"], pairs)
+    controller, _ = _controller(cfg, pairs)
     rollout = _rollout(cfg, entry, controller, pairs)
     export_trajectory_csv(os.path.join(run_dir, "rollout.csv"), grid,
                           rollout.states, rollout.controls)

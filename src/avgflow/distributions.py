@@ -124,7 +124,6 @@ class SamplePairSet:
 
     x0s: np.ndarray
     xfs: np.ndarray
-    seed: int
 
 
 def product_pairs(mu0, muf, n, seed):
@@ -132,7 +131,6 @@ def product_pairs(mu0, muf, n, seed):
     return SamplePairSet(
         x0s=sample(mu0, n, seed, stream=1),
         xfs=sample(muf, n, seed, stream=2),
-        seed=seed,
     )
 
 

@@ -111,11 +111,6 @@ class ThetaEnsemble:
     def n_theta(self):
         return self.thetas.shape[0]
 
-    @property
-    def b_average(self):
-        """int_0^1 B(theta) dtheta, the zero-lag kernel value."""
-        return np.einsum("i,iab->ab", self.weights, self.b_nodes)
-
 
 def _gauss_legendre_01(n):
     """Gauss-Legendre nodes and weights mapped from [-1, 1] to [0, 1]."""

@@ -378,10 +378,6 @@ class GainModel:
     def params(self):
         return self.net.params
 
-    def gain(self, t):
-        flat = self.net.forward(np.array([[float(t)]]))
-        return flat.reshape(self.dim_control, self.dim_state)
-
     def gain_trace(self, times):
         flat = self.net.forward(np.asarray(times, float).reshape(-1, 1))
         return flat.reshape(-1, self.dim_control, self.dim_state)

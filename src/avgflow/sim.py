@@ -15,6 +15,9 @@ convolution for the noise-free scheme.  Controllers fall into three kinds:
 * state feedback: the posterior-steered control, which needs the realized
   state at each index and therefore runs sequentially.
 
+Both drivers return :class:`avgflow.bridge.PathEnsemble`, the record that
+bridge ensembles use too, so either kind of path feeds the same metrics.
+
 Metrics: energy distance (the primary two-sample statistic, V-form so that
 identical clouds give exactly zero), a seeded sliced 2-Wasserstein estimate,
 and checkpoint mean/covariance gaps at quarter points of the horizon.
@@ -28,6 +31,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .bridge import (
+    PathEnsemble,
     _path_slices,
     _run_chunks,
     bridge_controls,
@@ -47,29 +51,6 @@ _NULL_BLOCK = 256
 
 # Rows of one cdist block in energy_distance.
 _CDIST_BLOCK = 1024
-
-
-@dataclass
-class RolloutEnsemble:
-    """Controlled paths sharing one grid, controller and noise seed.
-
-    ``controls`` row n_steps is NaN for stochastic rollouts (the bridge-style
-    controls are undefined at the terminal index); deterministic rollouts fill
-    it.
-    """
-
-    states: np.ndarray       # (paths, n+1, d)
-    controls: np.ndarray     # (paths, n+1, m)
-    controller_tag: str
-    epsilon: float
-    seed: int
-    x0s: np.ndarray
-    grid: object = None
-    increments: np.ndarray = None
-
-    @property
-    def terminal(self):
-        return self.states[:, -1, :]
 
 
 def _open_loop_table(controller, table, x0s):
@@ -217,16 +198,7 @@ def rollout_deterministic(table, controller, x0s, threads=1):
         return np.einsum("jab,pb->pja", table.m_avg, x0s[sl]) + dt * conv
 
     results = _run_chunks(run, _path_slices(x0s.shape[0], threads), threads)
-    states = np.concatenate(results)
-    return RolloutEnsemble(
-        states=states,
-        controls=controls,
-        controller_tag=controller.tag,
-        epsilon=0.0,
-        seed=None,
-        x0s=x0s,
-        grid=table.grid,
-    )
+    return PathEnsemble(np.concatenate(results), controls)
 
 
 def _zero_noise_data(paths, table):
@@ -298,16 +270,7 @@ def rollout_stochastic(table, controller, x0s, epsilon, seed, threads=1):
         _run_chunks(run, _path_slices(paths, threads), threads)
         controls = np.full((paths, n + 1, m), np.nan)
         controls[:, :n, :] = u
-    return RolloutEnsemble(
-        states=states,
-        controls=controls,
-        controller_tag=controller.tag,
-        epsilon=epsilon,
-        seed=seed,
-        x0s=x0s,
-        grid=table.grid,
-        increments=dw,
-    )
+    return PathEnsemble(states, controls)
 
 
 def _rollout_sequential(table, controller, x0s, epsilon, dw, noise_data):
@@ -366,18 +329,19 @@ def _mean_distance(a, b):
 
 
 def energy_distance_null(a, b, n_permutations=200, seed=0, max_pooled=6000):
-    """Permutation null sample for the energy distance.
+    """Permutation null sample for the energy distance of ``a`` and ``b``.
 
     Pools both clouds, reshuffles labels, recomputes the statistic from the
-    cached pooled distance matrix, one block of permutations per product.  Above ``max_pooled`` total points the
-    pool is subsampled (deterministically); the null level of a smaller
-    sample is larger, so thresholds derived from it are conservative.
+    cached pooled distance matrix, one block of permutations per product.
+    Above ``max_pooled`` total points the pool is subsampled
+    (deterministically); the null level of a smaller sample is larger, so
+    thresholds derived from it are conservative.  The observed statistic is
+    :func:`energy_distance` of the clouds, which this does not recompute.
 
-    :returns: (observed, null) with null of length n_permutations.
+    :returns: the null sample, of length n_permutations.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    observed = energy_distance(a, b)
     rng = np.random.Generator(
         np.random.Philox(key=np.array([seed, 914], dtype=np.uint64))
     )
@@ -405,7 +369,7 @@ def energy_distance_null(a, b, n_permutations=200, seed=0, max_pooled=6000):
         null[lo : lo + cols] = np.maximum(
             2.0 * s_ab / (na * nb) - s_a / (na * na) - s_b / (nb * nb), 0.0
         )
-    return observed, null
+    return null
 
 
 def sliced_w2(a, b, n_projections=SLICED_W2_PROJECTIONS, seed=0):

@@ -44,6 +44,7 @@ from avgflow import (
     rollout_deterministic,
     rollout_stochastic,
     sample,
+    sample_increments,
     sequence_dataset,
     single_gaussian,
     train_feedforward,
@@ -212,9 +213,10 @@ def test_criterion_05_scalar_bridge_recursion(scalar_table, record):
     t, dt, n = grid.times, grid.dt, grid.n_steps
     ens = bridge_ensemble(scalar_table, np.full((20, 1), 0.5), np.full((20, 1), -1.0),
                           1.0, seed=9)
+    increments = sample_increments(grid, 1, 9, 20)
     worst = 0.0
     for p in range(20):
-        dw = ens.increments[p, :, 0]
+        dw = increments[p, :, 0]
         x = np.empty(n + 1)
         x[0] = 0.5
         for j in range(n):
@@ -331,9 +333,9 @@ def test_criterion_07_terminal_covariance(law_equality_runs, record):
 )
 def test_criterion_07_terminal_energy_distance(law_equality_runs, record):
     runs = law_equality_runs
-    observed, null = energy_distance_null(
-        runs["left"].terminal, runs["right"].states[:, -1], seed=711
-    )
+    left, right = runs["left"].terminal, runs["right"].states[:, -1]
+    observed = energy_distance(left, right)
+    null = energy_distance_null(left, right, seed=711)
     level = float(np.quantile(null, 0.95))
     record(
         f"criterion 07: {'PASS' if observed <= level else 'FAIL'}"

@@ -191,7 +191,6 @@ class TestVolterraTrajectory:
         for p in (1, 2):
             np.testing.assert_array_equal(one.states[p], one.states[0])
         np.testing.assert_array_equal(one.noise, 0.0)
-        np.testing.assert_array_equal(one.memory, 0.0)
 
     def test_terminal_controls_undefined(self, ou2d_table):
         ens = bridge_ensemble(ou2d_table, PAIR.x0, PAIR.xf, 0.5, seed=1)
@@ -207,9 +206,8 @@ class TestVolterraTrajectory:
         eps = 0.5
         ens = bridge_ensemble(scalar_table, pair.x0, pair.xf, eps, seed=7)
         times = scalar_table.grid.times
-        d = np.concatenate(
-            [[0.0], np.cumsum(ens.increments[0, :, 0] / (1.0 - times[:-1]))]
-        )
+        dw = sample_increments(scalar_table.grid, 1, 7, 1)[0, :, 0]
+        d = np.concatenate([[0.0], np.cumsum(dw / (1.0 - times[:-1]))])
         expected = (
             pair.x0[0] * (1 - times)
             + pair.xf[0] * times
@@ -238,10 +236,11 @@ class TestBridgeEnsemble:
         x0s = rng.normal(size=(4, 2))
         xfs = rng.normal(size=(4, 2)) + 1.0
         ens = bridge_ensemble(ou2d_table, x0s, xfs, 0.5, seed=23)
+        dw = sample_increments(ou2d_table.grid, 2, 23, 4)
         n = ou2d_table.n_steps
         for p in range(4):
             states, controls = reference_bridge(
-                ou2d_table, x0s[p], xfs[p], ens.increments[p], 0.5
+                ou2d_table, x0s[p], xfs[p], dw[p], 0.5
             )
             np.testing.assert_allclose(ens.states[p], states, atol=1e-12)
             np.testing.assert_allclose(ens.controls[p, :n], controls[:n], atol=1e-12)
@@ -259,9 +258,9 @@ class TestBridgeEnsemble:
             ou2d_table.s_cross,
             np.linalg.solve(ou2d_table.g_fwd[n], residual.T).T,
         )
-        np.testing.assert_allclose(
-            ens.states, det + ens.noise + ens.memory, atol=1e-10
-        )
+        dw = sample_increments(ou2d_table.grid, 2, 3, 6)
+        memory = -np.sqrt(0.5) * volterra_noise_terms(ou2d_table, dw)["memory"]
+        np.testing.assert_allclose(ens.states, det + ens.noise + memory, atol=1e-10)
 
     def test_thread_count_does_not_change_results(self, ou2d_table):
         x0s = np.tile(PAIR.x0, (7, 1))
@@ -286,7 +285,7 @@ class TestBridgeEnsemble:
         x0s = np.tile(PAIR.x0, (3, 1))
         xfs = np.tile(PAIR.xf, (3, 1))
         ens = bridge_ensemble(ou2d_table, x0s, xfs, 0.0, seed=2)
-        assert not ens.noise.any() and not ens.memory.any()
+        assert not ens.noise.any()
         np.testing.assert_allclose(ens.terminal, xfs, atol=1e-12)
 
     def test_epsilon_validation(self, ou2d_table):

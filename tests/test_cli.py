@@ -17,6 +17,9 @@ from avgflow.learn import load_model
 
 OU_GAIN_DIAG = 0.9727707
 
+# The learned controller that fits each model kind.
+LEARNED = {"feedforward": "learned-ffn", "recurrent": "learned-rnn", "gain": "gain-model"}
+
 
 def invoke(monkeypatch, out_root, command, config=None, extra=()):
     """Run one CLI command with AVGFLOW_OUT redirected to out_root."""
@@ -272,7 +275,7 @@ class TestTrainCommand:
     def test_gain_checkpoint_roundtrips(self, tmp_path, monkeypatch):
         config = {
             "n_steps": 50,
-            "model": "gain",
+            "controller": "gain-model",
             "train": {"epochs": 5},
             "seed": 2,
         }
@@ -283,12 +286,18 @@ class TestTrainCommand:
         model = load_model(run_dir / "model.json")
         assert model.gain_trace(np.linspace(0.0, 1.0, 51)).shape == (51, 2, 2)
         manifest = json.loads((run_dir / "manifest.json").read_text())
-        assert manifest["model"] == "gain"
+        assert (manifest["controller"], manifest["model"]) == ("gain-model", "gain")
 
-    def test_model_key_is_required(self, tmp_path, monkeypatch, capsys):
+    def test_learned_controller_is_required(self, tmp_path, monkeypatch, capsys):
+        """The default controller, posterior-exact, has no model to train."""
         code = invoke(monkeypatch, tmp_path, "train", {"n_steps": 50})
         assert code == 2
-        assert "needs 'model'" in capsys.readouterr().err
+        assert "needs a learned 'controller'" in capsys.readouterr().err
+
+    def test_model_key_is_unknown(self, tmp_path, monkeypatch, capsys):
+        config = {"n_steps": 50, "controller": "gain-model", "model": "gain"}
+        assert invoke(monkeypatch, tmp_path, "train", config) == 2
+        assert "unknown config keys: ['model']" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
@@ -296,7 +305,7 @@ class TestTrainCommand:
         config = {
             "n_steps": 20,
             "n_samples": 16,
-            "model": "feedforward",
+            "controller": "learned-ffn",
             "train": {"epochs": 3, "learning_rate": 1e200},
             "seed": 2,
         }
@@ -325,6 +334,9 @@ class TestConfigTypes:
         pytest.param("bridge", None, "epsilons", [True], id="epsilons-true"),
         pytest.param("bridge", None, "x0", [True, 0.0], id="x0-true"),
         pytest.param("bridge", None, "xf", [1.0, False], id="xf-false"),
+        pytest.param("bridge", None, "epsilons", [10**400], id="epsilons-huge"),
+        pytest.param("bridge", None, "x0", [10**400, 0.0], id="x0-huge"),
+        pytest.param("bridge", None, "t_f", 10**400, id="t_f-huge"),
     ])
     def test_mistyped_field_exits_2(
         self, command, section, field, value, tmp_path, monkeypatch, capsys
@@ -335,10 +347,16 @@ class TestConfigTypes:
         else:
             config[section] = {field: value}
         if command == "train":
-            config["model"] = "gain"
+            config["controller"] = "gain-model"
         code = invoke(monkeypatch, tmp_path, command, config, extra=["--strict"])
         assert code == 2
         assert f"'{field}' must be" in capsys.readouterr().err
+
+    def test_law_too_large_for_a_float_exits_2(self, tmp_path, monkeypatch, capsys):
+        config = {"n_steps": 20, "n_samples": 8, "controller": "volterra-exact",
+                  "mu0": {"type": "gaussian", "mean": [10**400, 0.0], "cov": 0.01}}
+        assert invoke(monkeypatch, tmp_path, "flow", config) == 2
+        assert "bad 'mu0' spec" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -346,7 +364,7 @@ class TestSimulateCommand:
         train_config = {
             "n_steps": 20,
             "n_samples": 8,
-            "model": "recurrent",
+            "controller": "learned-rnn",
             "train": {"epochs": 1, "hidden_size": 8},
             "seed": 2,
         }
@@ -402,7 +420,8 @@ class TestControllerRegistry:
         paths = {}
         with pytest.MonkeyPatch.context() as mp:
             for kind in ("feedforward", "recurrent", "gain"):
-                assert invoke(mp, root / kind, "train", dict(self.BASE, model=kind)) == 0
+                config = dict(self.BASE, controller=LEARNED[kind])
+                assert invoke(mp, root / kind, "train", config) == 0
                 paths[kind] = str(only_run_dir(root / kind, "train") / "model.json")
         return paths
 
@@ -455,7 +474,7 @@ class TestControllerRegistry:
     @pytest.mark.parametrize("law", ["mu0", "muf"])
     @pytest.mark.parametrize("kind", ["feedforward", "recurrent", "gain"])
     def test_train_rejects_a_malformed_law(self, kind, law, tmp_path, monkeypatch, capsys):
-        config = dict(self.BASE, model=kind, **{law: {"type": "weird"}})
+        config = dict(self.BASE, controller=LEARNED[kind], **{law: {"type": "weird"}})
         assert invoke(monkeypatch, tmp_path, "train", config) == 2
         assert "unknown mixture type" in capsys.readouterr().err
 

@@ -358,10 +358,12 @@ class TestPosteriorMartingale:
         ens = bridge_ensemble(
             ou2d_table, pairs.x0s, pairs.xfs, eps, seed=142, threads=4
         )
+        dw = sample_increments(ou2d_table.grid, 2, 142, n_paths)
+        # The observation model's memory term is -sqrt(eps) * memory.
+        memory = -np.sqrt(eps) * volterra_noise_terms(ou2d_table, dw)["memory"]
         ctx = PosteriorContext(mu0, muf, eps)
         for j in (50, 100, 150):
-            # ens.memory is the observation model's -sqrt(eps) * memory term.
-            post = posterior_mean(ctx, ou2d_table, j, ens.states[:, j], ens.memory[:, j])
+            post = posterior_mean(ctx, ou2d_table, j, ens.states[:, j], memory[:, j])
             gap = np.abs(post.mean(axis=0) - muf.mean)
             se = post.std(axis=0, ddof=1) / np.sqrt(n_paths)
             assert np.all(gap <= 3 * se), f"index {j}: gap {gap}, se {se}"

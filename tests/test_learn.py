@@ -281,7 +281,7 @@ class TestGain:
 
     def test_gain_shape(self, ou2d_table):
         model = GainModel(2, 2, hidden_size=8, seed=0)
-        assert model.gain(0.3).shape == (2, 2)
+        assert model.gain_trace(np.array([0.3]))[0].shape == (2, 2)
         assert model.gain_trace(np.array([0.0, 0.5])).shape == (2, 2, 2)
 
 

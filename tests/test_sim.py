@@ -85,9 +85,6 @@ class TestDeterministicRollouts:
                 result.controls[p], np.tile(TARGET - x0s[p], (len(times), 1)),
                 atol=1e-12,
             )
-        assert result.epsilon == 0.0
-        assert result.seed is None
-        assert result.controller_tag == "deterministic-exact"
 
     def test_terminal_property_is_last_row(self, const_table):
         x0s = np.array([[0.3, -0.2]])
@@ -261,7 +258,6 @@ class TestRecurrentControllerWiring:
         )
         np.testing.assert_array_equal(result.states[0], result.states[1])
         np.testing.assert_array_equal(result.states[0], result.states[2])
-        assert result.controller_tag == "learned-rnn"
 
 
 class TestSequentialDriver:
@@ -274,7 +270,6 @@ class TestSequentialDriver:
         )
         expected = straight_line(x0, TARGET, const_table.grid.times)
         np.testing.assert_allclose(result.states[0], expected, atol=1e-9)
-        assert result.controller_tag == "posterior-exact"
 
     def test_posterior_terminal_mean_tracks_target(self, ou2d_table):
         """1500 noisy paths under posterior steering land on the target mean
@@ -354,13 +349,14 @@ class TestLawComparison:
         rng = np.random.default_rng(np.random.Philox(key=[0, 5150]))
         a = rng.standard_normal((10_000, 2))
         b = rng.standard_normal((10_000, 2)) + np.array([1.0, 0.0])
-        observed, null = energy_distance_null(a, b, seed=17)
+        observed, null = energy_distance(a, b), energy_distance_null(a, b, seed=17)
         assert observed >= 5.0 * np.quantile(null, 0.95)
 
     def test_identical_law_within_null(self):
         rng = np.random.default_rng(np.random.Philox(key=[1, 5150]))
         a = rng.standard_normal((2000, 2))
-        observed, null = energy_distance_null(a, a.copy(), seed=17)
+        b = a.copy()
+        observed, null = energy_distance(a, b), energy_distance_null(a, b, seed=17)
         assert observed <= np.quantile(null, 0.95)
 
     @pytest.mark.parametrize("max_pooled", [6000, 50])
@@ -371,10 +367,9 @@ class TestLawComparison:
         rng = np.random.default_rng(np.random.Philox(key=[4, 5150]))
         a = rng.standard_normal((40, 2))
         b = rng.standard_normal((30, 2)) + np.array([0.3, 0.0])
-        observed, null = energy_distance_null(
+        null = energy_distance_null(
             a, b, n_permutations=300, seed=5, max_pooled=max_pooled
         )
-        assert observed == energy_distance(a, b)
 
         rng = np.random.Generator(np.random.Philox(key=np.array([5, 914], dtype=np.uint64)))
         if a.shape[0] + b.shape[0] > max_pooled:
