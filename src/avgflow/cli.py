@@ -193,6 +193,13 @@ def _as_int(cfg, key, minimum):
     _require(value >= minimum, f"'{key}' must be >= {minimum}")
 
 
+def _as_matrix(cfg, key):
+    rows = cfg[key]
+    _require(isinstance(rows, list) and all(
+        isinstance(row, list) and all(_is_number(v) and np.isfinite(_float(v)) for v in row)
+        for row in rows), f"'{key}' must be a list of rows of finite numbers")
+
+
 def _validate_config(cfg):
     unknown = set(cfg) - set(_DEFAULTS)
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
@@ -203,6 +210,9 @@ def _validate_config(cfg):
         if cfg["family"] == "constant":
             _require(cfg["a"] is not None and cfg["b"] is not None,
                      "the constant family needs explicit 'a' and 'b' matrices")
+    for key in ("a", "b"):
+        if cfg[key] is not None:
+            _as_matrix(cfg, key)
     _as_int(cfg, "n_theta", 1)
     _as_int(cfg, "n_steps", 2)
     _as_int(cfg, "n_samples", 1)
@@ -284,9 +294,16 @@ def _mixture(spec, what):
         if kind == "point":
             return point_mass(np.asarray(spec["x"], dtype=float))
         if kind == "ring":
+            n_components = spec.get("n_components", 8)
+            radius = spec.get("radius", 1.0)
+            _require(isinstance(n_components, int) and not isinstance(n_components, bool)
+                     and n_components >= 1,
+                     f"bad '{what}' spec: ring 'n_components' must be an integer >= 1")
+            _require(_is_number(radius) and 0 < _float(radius) < np.inf,
+                     f"bad '{what}' spec: ring 'radius' must be a finite positive number")
             return ring_mixture(
-                int(spec.get("n_components", 8)),
-                float(spec.get("radius", 1.0)),
+                n_components,
+                float(radius),
                 float(spec.get("sigma2", 0.01)),
                 center=spec.get("center", (0.0, 0.0)),
             )
@@ -314,9 +331,9 @@ def _build_table(cfg):
     if cfg["theta_table"]:
         ensemble = load_theta_table(cfg["theta_table"])
     else:
-        a = None if cfg["a"] is None else np.asarray(cfg["a"], dtype=float)
-        b = None if cfg["b"] is None else np.asarray(cfg["b"], dtype=float)
         try:
+            a = None if cfg["a"] is None else np.asarray(cfg["a"], dtype=float)
+            b = None if cfg["b"] is None else np.asarray(cfg["b"], dtype=float)
             ensemble = build_theta_ensemble(cfg["family"], cfg["n_theta"], a=a, b=b)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -634,8 +651,12 @@ def cmd_flow(cfg, run_dir, stamp, args):
     entry = _CONTROLLERS[cfg["controller"]]
     pairs = _Pairs(cfg, table, args.threads)
     controller, checkpoint = _controller(cfg, pairs, run_dir)
-    _record_coupling(run_dir, entry, pairs)
     rollout = _rollout(cfg, entry, controller, pairs, held_out=True)
+    if entry is _EXACT:
+        # The exact controller rolls out from the paired starts, so its
+        # control table is the teacher table: keep it instead of a rebuild.
+        pairs.teacher = rollout.controls
+    _record_coupling(run_dir, entry, pairs)
     export_trajectory_csv(os.path.join(run_dir, "rollout.csv"), grid,
                           rollout.states, rollout.controls)
     reference = _reference(cfg, entry, pairs)

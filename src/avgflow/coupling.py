@@ -13,9 +13,11 @@ Training pairs (x0_i, xf_i) can couple the endpoint samples two ways:
 * optimal transport coupling: a minimum quadratic-cost bijection between the
   two clouds, which preserves the full target law under the learned flow.
 
-The assignment is exact (Hungarian-type solver on the squared-distance cost),
-with a deterministic cleanup pass that resolves cost ties toward the lowest
-target index.
+The assignment is exact: a shortest-augmenting-path solver on the
+squared-distance cost, warm-started by entropic dual potentials, then a
+deterministic cleanup pass over cost-neutral two-swaps.  A generic instance
+(one optimal plan) gets that plan bitwise; a tied instance gets an optimal
+plan on which no cost-neutral two-swap lowers a target index.
 """
 
 from dataclasses import dataclass
@@ -41,7 +43,10 @@ def ot_assignment(sources, targets):
     :param sources: (N, d) start points.
     :param targets: (N, d) target points.
     :returns: CouplingPlan whose permutation maps source index to target
-        index; exact cost ties are broken toward the lowest target index.
+        index, with ``pair_costs`` read from the raw squared distances.  On
+        a generic instance the permutation is the unique optimal one; on a
+        tied instance it is an optimal one that no cost-neutral two-swap
+        moves toward a lower target index (see :func:`_tie_cleanup`).
     """
     sources = np.atleast_2d(np.asarray(sources, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -49,8 +54,11 @@ def ot_assignment(sources, targets):
         raise ValueError("sources and targets must have identical shapes")
     if not (np.all(np.isfinite(sources)) and np.all(np.isfinite(targets))):
         raise ValueError("assignment requires finite points")
+    reduced = cdist(sources, targets, metric="sqeuclidean")
+    _warm_start(reduced)
+    _, perm = linear_sum_assignment(reduced)
+    del reduced
     cost = cdist(sources, targets, metric="sqeuclidean")
-    _, perm = linear_sum_assignment(cost)
     perm = _tie_cleanup(cost, perm)
     pair_costs = cost[np.arange(len(perm)), perm]
     return CouplingPlan(
@@ -61,13 +69,62 @@ def ot_assignment(sources, targets):
     )
 
 
+# Entropic temperatures of the warm start, as fractions of the mean reduced
+# cost, and the scaling sweeps run at each one.
+_ANNEAL = (0.1, 0.03, 0.01, 0.003)
+_SWEEPS = 15
+
+
+def _warm_start(cost):
+    """Subtract near-optimal dual potentials from ``cost`` in place.
+
+    Any ``cost[i, j] - f[i] - g[j]`` has the same optimal assignments as
+    ``cost``, but the assignment solver starts from zero duals and finishes
+    far sooner on a cost whose optimal pairs are already near zero.  The
+    potentials are row then column minima, then entropic-OT scaling (Cuturi
+    2013) annealed over temperatures ``_ANNEAL`` times the mean reduced cost
+    (Schmitzer 2019): at each, ``_SWEEPS`` sweeps of ``a = 1 / (K b)``,
+    ``b = 1 / (a K)`` with ``K = exp(-cost / eps)``, after which
+    ``eps log a`` and ``eps log b`` are folded into ``cost``.  Annealing stops
+    at the first temperature whose potentials are not finite; that only
+    leaves the solver more work.
+
+    :returns: the number of temperatures folded into ``cost``.
+    """
+    if not cost.size:
+        return 0
+    cost -= cost.min(axis=1, keepdims=True)
+    cost -= cost.min(axis=0)
+    kernel = np.empty_like(cost)
+    with np.errstate(all="ignore"):
+        scale = cost.mean()
+        for stage, fraction in enumerate(_ANNEAL):
+            eps = fraction * scale
+            np.divide(cost, -eps, out=kernel)
+            np.exp(kernel, out=kernel)
+            b = np.ones(cost.shape[1])
+            for _ in range(_SWEEPS):
+                a = 1.0 / (kernel @ b)
+                b = 1.0 / (a @ kernel)
+            f = eps * np.log(a)
+            g = eps * np.log(b)
+            if not (np.isfinite(f).all() and np.isfinite(g).all()):
+                return stage
+            cost -= f[:, None]
+            cost -= g
+    return len(_ANNEAL)
+
+
 def _tie_cleanup(cost, perm):
     """Swap assignments toward lower target indices when cost-neutral.
 
     Applies exact-equality two-swaps, scanning sources in ascending order and
-    always taking the lowest reachable target index, until stable.  Degenerate
-    instances (duplicated points, all-equal costs) thereby resolve to the
-    lowest-index pairing; generic instances are untouched.
+    always taking the lowest reachable target index, until stable.  The
+    result has no sources ``i < k`` whose swap keeps the cost and gives
+    ``i`` a lower target.  That is a pairwise order only: which optimal plan
+    a tied instance ends on still depends on where the solver started, and
+    it need not be the lexicographically lowest.  Generic instances are
+    untouched.
     """
     perm = perm.copy()
     n = len(perm)

@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+from avgflow.bridge import bridge_controls
 from avgflow.cli import _CONTROLLERS, main
 from avgflow.learn import load_model
 
@@ -337,6 +338,9 @@ class TestConfigTypes:
         pytest.param("bridge", None, "epsilons", [10**400], id="epsilons-huge"),
         pytest.param("bridge", None, "x0", [10**400, 0.0], id="x0-huge"),
         pytest.param("bridge", None, "t_f", 10**400, id="t_f-huge"),
+        pytest.param("kernel", None, "a", [[0, 0], [0, "x"]], id="a-string"),
+        pytest.param("kernel", None, "b", [[1.0, True], [0, 1]], id="b-true"),
+        pytest.param("kernel", None, "a", [[0, 10**400], [0, 0]], id="a-huge"),
     ])
     def test_mistyped_field_exits_2(
         self, command, section, field, value, tmp_path, monkeypatch, capsys
@@ -357,6 +361,22 @@ class TestConfigTypes:
                   "mu0": {"type": "gaussian", "mean": [10**400, 0.0], "cov": 0.01}}
         assert invoke(monkeypatch, tmp_path, "flow", config) == 2
         assert "bad 'mu0' spec" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("ring", [
+        pytest.param({"n_components": 2.5}, id="n_components-fraction"),
+        pytest.param({"n_components": 0}, id="n_components-zero"),
+        pytest.param({"n_components": True}, id="n_components-true"),
+        pytest.param({"radius": float("inf")}, id="radius-inf"),
+        pytest.param({"radius": 0.0}, id="radius-zero"),
+        pytest.param({"radius": -1.0}, id="radius-negative"),
+        pytest.param({"radius": "1"}, id="radius-string"),
+    ])
+    def test_bad_ring_spec_exits_2(self, ring, tmp_path, monkeypatch, capsys):
+        config = {"n_steps": 20, "n_samples": 8, "controller": "volterra-exact",
+                  "muf": dict(ring, type="ring")}
+        assert invoke(monkeypatch, tmp_path, "flow", config) == 2
+        assert "bad 'muf' spec: ring" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -464,6 +484,18 @@ class TestControllerRegistry:
                      "metrics.csv"):
             assert (dirs["teacher"] / file).read_bytes() == (
                 dirs["deterministic-exact"] / file).read_bytes(), file
+
+    @pytest.mark.parametrize("name", ["teacher", "deterministic-exact", "learned-ffn"])
+    def test_flow_builds_the_exact_control_table_once(self, name, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(table, residual, *args, **kwargs):
+            calls.append(residual.shape)
+            return bridge_controls(table, residual, *args, **kwargs)
+
+        monkeypatch.setattr("avgflow.sim.bridge_controls", counting)
+        assert invoke(monkeypatch, tmp_path, "flow", dict(self.BASE, controller=name)) == 0
+        assert calls == [(8, 2)]
 
     def test_simulate_posterior_needs_single_gaussian_start(
             self, tmp_path, monkeypatch, capsys):

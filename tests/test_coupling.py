@@ -4,6 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from avgflow import (
     DeterministicExactController,
@@ -12,6 +16,7 @@ from avgflow import (
     product_plan,
     rollout_deterministic,
 )
+from avgflow.coupling import _ANNEAL, _tie_cleanup, _warm_start
 
 
 def brute_force_cost(sources, targets):
@@ -75,6 +80,11 @@ class TestOtAssignment:
         plan = ot_assignment(sources, targets)
         np.testing.assert_array_equal(plan.permutation, [0, 1])
 
+    def test_empty_clouds_give_an_empty_plan(self):
+        plan = ot_assignment(np.zeros((0, 2)), np.zeros((0, 2)))
+        assert plan.permutation.size == 0
+        assert plan.total_cost == 0.0
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ot_assignment(np.zeros((3, 2)), np.zeros((4, 2)))
@@ -83,6 +93,83 @@ class TestOtAssignment:
         plan = product_plan(5)
         np.testing.assert_array_equal(plan.permutation, np.arange(5))
         assert plan.kind == "product"
+
+
+def plain_assignment(sources, targets):
+    """The solver on the raw squared-distance cost, with no warm start."""
+    cost = cdist(sources, targets, metric="sqeuclidean")
+    _, perm = linear_sum_assignment(cost)
+    return _tie_cleanup(cost, perm)
+
+
+def cloud_pair(seed, n, d, scale=1.0):
+    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    return scale * rng.normal(size=(n, d)), scale * rng.normal(size=(n, d)) + scale
+
+
+class TestWarmStart:
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 300),
+        st.sampled_from([1, 2, 3]),
+        st.integers(-150, 150),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_generic_clouds_keep_the_plain_permutation(self, seed, n, d, exponent):
+        sources, targets = cloud_pair(seed, n, d, 10.0**exponent)
+        np.testing.assert_array_equal(
+            ot_assignment(sources, targets).permutation,
+            plain_assignment(sources, targets),
+        )
+
+    def test_far_outlier_keeps_the_plain_permutation(self):
+        sources, targets = cloud_pair(71, 200, 2)
+        sources[17] = [1e6, -3e5]
+        targets[101] = [-2e4, 8e4]
+        np.testing.assert_array_equal(
+            ot_assignment(sources, targets).permutation,
+            plain_assignment(sources, targets),
+        )
+
+    def test_pair_costs_are_the_raw_squared_distances(self):
+        sources, targets = cloud_pair(72, 150, 3)
+        plan = ot_assignment(sources, targets)
+        cost = cdist(sources, targets, metric="sqeuclidean")
+        np.testing.assert_array_equal(
+            plan.pair_costs, cost[np.arange(150), plan.permutation]
+        )
+
+    def test_tied_grid_plans_are_optimal_and_two_swap_stable(self):
+        rng = np.random.Generator(np.random.Philox(key=[73, 0]))
+        for _ in range(40):
+            n = int(rng.integers(2, 40))
+            d = int(rng.integers(1, 3))
+            sources = rng.integers(0, 4, size=(n, d)).astype(float)
+            targets = rng.integers(0, 4, size=(n, d)).astype(float)
+            plan = ot_assignment(sources, targets)
+            cost = cdist(sources, targets, metric="sqeuclidean")
+            reference = plain_assignment(sources, targets)
+            assert plan.total_cost == cost[np.arange(n), reference].sum()
+            perm = plan.permutation
+            for i in range(n - 1):
+                ks = np.arange(i + 1, n)
+                neutral = (
+                    cost[i, perm[ks]] + cost[ks, perm[i]]
+                    == cost[i, perm[i]] + cost[ks, perm[ks]]
+                )
+                assert not np.any(neutral & (perm[ks] < perm[i]))
+
+    def test_non_finite_stage_still_gives_the_exact_plan(self):
+        # Squared distances near 1e307 overflow the mean that sets the
+        # temperature, so the first annealing stage is not finite.
+        sources, targets = cloud_pair(74, 40, 2, 1e153)
+        cost = cdist(sources, targets, metric="sqeuclidean")
+        assert np.isfinite(cost).all()
+        assert _warm_start(cost) < len(_ANNEAL)
+        np.testing.assert_array_equal(
+            ot_assignment(sources, targets).permutation,
+            plain_assignment(sources, targets),
+        )
 
 
 def coupled_controls(table, x0s, targets, plan=None):
