@@ -13,11 +13,15 @@ Training pairs (x0_i, xf_i) can couple the endpoint samples two ways:
 * optimal transport coupling: a minimum quadratic-cost bijection between the
   two clouds, which preserves the full target law under the learned flow.
 
-The assignment is exact: a shortest-augmenting-path solver on the
-squared-distance cost, warm-started by entropic dual potentials, then a
-deterministic cleanup pass over cost-neutral two-swaps.  A generic instance
-(one optimal plan) gets that plan bitwise; a tied instance gets an optimal
-plan on which no cost-neutral two-swap lowers a target index.
+The assignment is exact up to floating-point rounding: a
+shortest-augmenting-path solver on the squared-distance cost less entropic
+dual potentials, then a deterministic cleanup pass over cost-neutral
+two-swaps.  The reduced cost carries the rounding of the subtractions, so the
+plan's total can exceed the optimum by that rounding, of order n units in the
+last place of the largest cost.  An instance whose optimal plan beats every
+other plan by more than that gets that plan bitwise; a near-tied instance may
+get another plan within the margin; a tied one gets a plan of optimal cost
+(up to the margin) on which no cost-neutral two-swap lowers a target index.
 """
 
 from dataclasses import dataclass
@@ -43,10 +47,13 @@ def ot_assignment(sources, targets):
     :param sources: (N, d) start points.
     :param targets: (N, d) target points.
     :returns: CouplingPlan whose permutation maps source index to target
-        index, with ``pair_costs`` read from the raw squared distances.  On
-        a generic instance the permutation is the unique optimal one; on a
-        tied instance it is an optimal one that no cost-neutral two-swap
-        moves toward a lower target index (see :func:`_tie_cleanup`).
+        index, with ``pair_costs`` read from the raw squared distances.  The
+        permutation is optimal for the reduced cost, so its total is within
+        the reduction's rounding (of order n ulps of the largest cost) of
+        the optimum.  It is the optimal plan itself when that plan beats
+        every other by more than the rounding; on a tied instance no
+        cost-neutral two-swap moves it toward a lower target index (see
+        :func:`_tie_cleanup`).
     """
     sources = np.atleast_2d(np.asarray(sources, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -78,16 +85,19 @@ _SWEEPS = 15
 def _warm_start(cost):
     """Subtract near-optimal dual potentials from ``cost`` in place.
 
-    Any ``cost[i, j] - f[i] - g[j]`` has the same optimal assignments as
-    ``cost``, but the assignment solver starts from zero duals and finishes
-    far sooner on a cost whose optimal pairs are already near zero.  The
-    potentials are row then column minima, then entropic-OT scaling (Cuturi
-    2013) annealed over temperatures ``_ANNEAL`` times the mean reduced cost
-    (Schmitzer 2019): at each, ``_SWEEPS`` sweeps of ``a = 1 / (K b)``,
-    ``b = 1 / (a K)`` with ``K = exp(-cost / eps)``, after which
-    ``eps log a`` and ``eps log b`` are folded into ``cost``.  Annealing stops
-    at the first temperature whose potentials are not finite; that only
-    leaves the solver more work.
+    In exact arithmetic any ``cost[i, j] - f[i] - g[j]`` has the same
+    optimal assignments as ``cost``; in floating point each entry also
+    carries the rounding of up to ten subtractions, which can reorder plans
+    closer than that.  The assignment solver starts from zero duals and
+    finishes far sooner on a cost whose optimal pairs are already near
+    zero.  The potentials are row then column minima, then entropic-OT
+    scaling (Cuturi 2013) annealed over temperatures ``_ANNEAL`` times the
+    mean reduced cost (Schmitzer 2019): at each, ``_SWEEPS`` sweeps of
+    ``a = 1 / (K b)``, ``b = 1 / (a K)`` with ``K = exp(-cost / eps)``,
+    after which ``eps log a`` and ``eps log b`` are folded into ``cost``.
+    Annealing stops at the first temperature whose potentials are not
+    finite; that only leaves the solver more work.  While it runs, ``cost``
+    and the kernel are two (N, N) float64 arrays.
 
     :returns: the number of temperatures folded into ``cost``.
     """

@@ -139,6 +139,25 @@ class TestWarmStart:
             plan.pair_costs, cost[np.arange(150), plan.permutation]
         )
 
+    def test_near_tied_plans_are_optimal_up_to_rounding(self):
+        # A target a few ulps off another puts two plans within rounding of
+        # each other.  The reduced cost may order them either way, and so
+        # may the plain solver's own duals, so only the totals must agree,
+        # to within n ulps of the largest cost.
+        rng = np.random.Generator(np.random.Philox(key=[75, 0]))
+        for _ in range(100):
+            n = int(rng.integers(2, 60))
+            d = int(rng.integers(1, 3))
+            sources = rng.normal(size=(n, d))
+            targets = rng.normal(size=(n, d))
+            i, j = rng.choice(n, 2, replace=False)
+            targets[j] = targets[i] + rng.integers(1, 4) * np.spacing(targets[i])
+            plan = ot_assignment(sources, targets)
+            cost = cdist(sources, targets, metric="sqeuclidean")
+            reference = cost[np.arange(n), plain_assignment(sources, targets)].sum()
+            np.testing.assert_array_equal(np.sort(plan.permutation), np.arange(n))
+            assert abs(plan.total_cost - reference) <= n * np.spacing(cost.max())
+
     def test_tied_grid_plans_are_optimal_and_two_swap_stable(self):
         rng = np.random.Generator(np.random.Philox(key=[73, 0]))
         for _ in range(40):
