@@ -8,6 +8,10 @@ endpoint steering (``bridge``), conditions unknown endpoints on the running
 state (``distributions``), couples sample clouds (``coupling``), fits control
 laws to teacher data (``learn``), and rolls out and evaluates the closed loop
 (``sim``).  The ``avgflow`` command line wires the pieces together.
+
+Importing avgflow loads numpy and ``scipy.linalg`` only; the coupling, the
+two-sample metrics and the LSTM load their scipy subpackages
+(``scipy.optimize``, ``scipy.spatial``, ``scipy.special``) on first call.
 """
 
 from .bridge import (

@@ -22,7 +22,8 @@ sampling, coupling and teacher bridges run only when a builder, trainer or
 rollout reads them.  ``--threads`` splits path chunks of the bridge
 ensembles, the deterministic rollout's convolution, and the stochastic
 rollout's final convolution; the sequential driver of the state-feedback
-controller (posterior-exact) stays single-threaded.
+controller (posterior-exact) stays single-threaded.  ``--threads`` must be
+at least 1.
 
 Every run writes into a stamped directory: the stamp is a hash of the fully
 resolved config and command, so identical inputs land in identical places
@@ -290,7 +291,7 @@ def _mixture(spec, what):
     try:
         if kind == "gaussian":
             mean = np.asarray(spec["mean"], dtype=float)
-            return single_gaussian(mean, _cov_entry(spec["cov"], mean.shape[0]))
+            return single_gaussian(mean, _cov_entry(spec["cov"], mean.shape[0], "cov"))
         if kind == "point":
             return point_mass(np.asarray(spec["x"], dtype=float))
         if kind == "ring":
@@ -310,7 +311,7 @@ def _mixture(spec, what):
         if kind == "mixture":
             means = np.asarray(spec["means"], dtype=float)
             covs = np.stack(
-                [_cov_entry(c, means.shape[1]) for c in spec["covs"]]
+                [_cov_entry(c, means.shape[1], "covs") for c in spec["covs"]]
             )
             return GaussianMixture(
                 np.asarray(spec["weights"], dtype=float), means, covs
@@ -320,10 +321,13 @@ def _mixture(spec, what):
     raise ConfigError(f"unknown mixture type {kind!r} in '{what}'")
 
 
-def _cov_entry(value, dim):
-    if isinstance(value, (int, float)):
-        return float(value) * np.eye(dim)
-    return np.asarray(value, dtype=float)
+def _cov_entry(value, dim, key):
+    """A covariance matrix, or a finite number that scales the identity."""
+    if isinstance(value, list):
+        return np.asarray(value, dtype=float)
+    if not (_is_number(value) and np.isfinite(_float(value))):
+        raise ValueError(f"'{key}' must be a matrix or a finite number that is not a bool")
+    return _float(value) * np.eye(dim)
 
 
 def _build_table(cfg):
@@ -495,6 +499,10 @@ class _Pairs:
         # Both laws are checked up front, even for a trainer that reads neither.
         self.mu0 = _mixture(cfg["mu0"], "mu0")
         self.muf = _mixture(cfg["muf"], "muf")
+        for law, mixture in (("mu0", self.mu0), ("muf", self.muf)):
+            _require(mixture.dim == table.dim_state,
+                     f"'{law}' has dimension {mixture.dim}, "
+                     f"system expects {table.dim_state}")
 
     @cached_property
     def samples(self):
@@ -711,11 +719,16 @@ def cmd_simulate(cfg, run_dir, stamp, args):
 def cmd_metrics(cfg, run_dir, stamp, args):
     _require(cfg["left"], "the metrics command needs 'left': a trajectory CSV path")
     left = _load_trajectory_csv(cfg["left"])
+    dim = left.shape[2]
     if cfg["right"]:
         right = _load_trajectory_csv(cfg["right"])
+        _require(right.shape[2] == dim, f"the 'right' trajectory has dimension "
+                 f"{right.shape[2]}, the 'left' one has {dim}")
         right_cloud = right[:, -1, :]
     else:
         muf = _mixture(cfg["muf"], "muf")
+        _require(muf.dim == dim,
+                 f"'muf' has dimension {muf.dim}, the 'left' trajectory has {dim}")
         right = sample(muf, cfg["n_samples"], cfg["seed"], stream=7)
         right_cloud = right
     report = compare_laws(left, right, metric_seed=cfg["seed"],
@@ -744,6 +757,16 @@ _COMMANDS = {
 }
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return value
+
+
 def _comma_floats(text):
     try:
         return [float(v) for v in text.split(",")]
@@ -768,8 +791,8 @@ def _build_parser():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON run config")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker thread cap for path-parallel stages")
+        p.add_argument("--threads", type=_positive_int, default=1,
+                       help="worker thread cap for path-parallel stages (>= 1)")
         p.add_argument("--strict", action="store_true",
                        help="fail (exit 5) when metric gates are not met")
         p.add_argument("--preset", choices=sorted(_PRESETS),

@@ -27,8 +27,6 @@ get another plan within the margin; a tied one gets a plan of optimal cost
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 
 @dataclass
@@ -55,6 +53,9 @@ def ot_assignment(sources, targets):
         cost-neutral two-swap moves it toward a lower target index (see
         :func:`_tie_cleanup`).
     """
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
     sources = np.atleast_2d(np.asarray(sources, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     if sources.shape != targets.shape:

@@ -49,6 +49,8 @@ class GaussianMixture:
         L, d = self.means.shape
         if self.weights.shape != (L,) or self.covs.shape != (L, d, d):
             raise ValueError("mixture weights/means/covs shapes are inconsistent")
+        if not (np.all(np.isfinite(self.means)) and np.all(np.isfinite(self.covs))):
+            raise ValueError("mixture means and covariances must be finite")
         if np.any(self.weights <= 0):
             raise ValueError("mixture weights must be positive")
         if abs(self.weights.sum() - 1.0) > 1e-9:

@@ -17,7 +17,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, TrainingDivergenceError
 
@@ -277,6 +276,8 @@ class RecurrentModel:
 
 
 def _lstm_forward_cached(model, feats, keep_cache=True):
+    from scipy.special import expit
+
     feats = model._normalize(feats)
     batch, steps, _ = feats.shape
     h_size = model.hidden_size

@@ -28,7 +28,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .bridge import (
     PathEnsemble,
@@ -322,6 +321,8 @@ def energy_distance(a, b):
 
 
 def _mean_distance(a, b):
+    from scipy.spatial.distance import cdist
+
     total = 0.0
     for lo in range(0, a.shape[0], _CDIST_BLOCK):
         total += cdist(a[lo : lo + _CDIST_BLOCK], b).sum()
@@ -340,6 +341,8 @@ def energy_distance_null(a, b, n_permutations=200, seed=0, max_pooled=6000):
 
     :returns: the null sample, of length n_permutations.
     """
+    from scipy.spatial.distance import cdist
+
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     rng = np.random.Generator(

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from avgflow.bridge import bridge_controls
-from avgflow.cli import _CONTROLLERS, main
+from avgflow.cli import _COMMANDS, _CONTROLLERS, main
 from avgflow.learn import load_model
 
 OU_GAIN_DIAG = 0.9727707
@@ -141,6 +141,17 @@ class TestKernelCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["bogus"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_threads_below_one_is_argparse_error(
+            self, command, threads, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("AVGFLOW_OUT", str(tmp_path))
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--threads", threads])
+        assert excinfo.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestBridgeCommand:
@@ -341,6 +352,9 @@ class TestConfigTypes:
         pytest.param("kernel", None, "a", [[0, 0], [0, "x"]], id="a-string"),
         pytest.param("kernel", None, "b", [[1.0, True], [0, 1]], id="b-true"),
         pytest.param("kernel", None, "a", [[0, 10**400], [0, 0]], id="a-huge"),
+        pytest.param("flow", "mu0", "cov", True, id="cov-true"),
+        pytest.param("flow", "muf", "cov", 10**400, id="cov-huge"),
+        pytest.param("flow", "muf", "cov", "0.1", id="cov-string"),
     ])
     def test_mistyped_field_exits_2(
         self, command, section, field, value, tmp_path, monkeypatch, capsys
@@ -362,6 +376,43 @@ class TestConfigTypes:
         assert invoke(monkeypatch, tmp_path, "flow", config) == 2
         assert "bad 'mu0' spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("law, spec", [
+        ("mu0", {"type": "gaussian", "mean": [float("inf"), 0.0], "cov": 0.01}),
+        ("muf", {"type": "point", "x": [float("inf"), 0.0]}),
+        ("muf", {"type": "ring", "center": [0.0, float("nan")]}),
+        ("mu0", {"type": "gaussian", "mean": [1.0, 0.0],
+                 "cov": [[float("inf"), 0.0], [0.0, 1.0]]}),
+    ], ids=["gaussian-mean", "point", "ring-center", "cov-matrix"])
+    def test_non_finite_law_exits_2(self, law, spec, tmp_path, monkeypatch, capsys):
+        config = {"n_steps": 20, "n_samples": 8, "controller": "teacher", law: spec}
+        assert invoke(monkeypatch, tmp_path, "flow", config) == 2
+        message = f"bad '{law}' spec: mixture means and covariances must be finite"
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, controller, law, spec", [
+        ("flow", "teacher", "mu0", {"type": "gaussian", "mean": [1, 0, 0], "cov": 0.01}),
+        ("flow", "volterra-exact", "muf",
+         {"type": "gaussian", "mean": [1, 1, 1], "cov": 0.01}),
+        ("flow", "posterior-exact", "mu0",
+         {"type": "gaussian", "mean": [1, 0, 0], "cov": 0.01}),
+        ("flow", "teacher", "mu0", {"type": "point", "x": [1, 0, 0]}),
+        ("train", "gain-model", "muf", {"type": "point", "x": [1]}),
+        ("metrics", None, "muf", {"type": "gaussian", "mean": [1, 1, 1], "cov": 0.01}),
+    ], ids=["flow-mu0", "volterra-muf", "posterior-mu0", "point-mu0", "train-muf",
+            "metrics-muf"])
+    def test_law_of_another_dimension_exits_2(
+            self, command, controller, law, spec, tmp_path, monkeypatch, capsys):
+        config = {"n_steps": 20, "n_samples": 8, law: spec}
+        if controller:
+            config["controller"] = controller
+        else:
+            assert invoke(monkeypatch, tmp_path / "traj", "bridge",
+                          {"n_steps": 20, "epsilons": [0.5], "bridge_paths": 4}) == 0
+            config["left"] = str(only_run_dir(tmp_path / "traj", "bridge")
+                                 / "trajectory_eps0.5.csv")
+        assert invoke(monkeypatch, tmp_path, command, config) == 2
+        dim = len(spec.get("mean", spec.get("x")))
+        assert f"'{law}' has dimension {dim}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("ring", [
         pytest.param({"n_components": 2.5}, id="n_components-fraction"),
@@ -598,6 +649,14 @@ class TestMetricsCommand:
             lines = (only_run_dir(out, command) / "metrics.csv").read_text().splitlines()
             values.append(dict(line.split(",") for line in lines)["sliced_w2"])
         assert values[0] != values[1]
+
+    def test_right_of_another_dimension_exits_2(
+            self, tmp_path, monkeypatch, capsys, left_csv):
+        right = tmp_path / "right.csv"
+        right.write_text("path_id,t,x1,x2,x3\n0,0,1,2,3\n0,1,1,2,3\n")
+        config = {"n_steps": 50, "left": left_csv, "right": str(right)}
+        assert invoke(monkeypatch, tmp_path / "m", "metrics", config) == 2
+        assert "'right' trajectory has dimension 3" in capsys.readouterr().err
 
     def test_left_is_required(self, tmp_path, monkeypatch, capsys):
         code = invoke(monkeypatch, tmp_path, "metrics", {"n_steps": 50})
